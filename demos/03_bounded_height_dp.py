@@ -12,6 +12,7 @@ from treesearch import (
     BLOCKED,
     UNASSIGNED,
     cost,
+    deep_cost_bound,
     est_cost,
     est_to_search_tree,
     height_bound,
@@ -44,9 +45,12 @@ est = search_tree_to_est(converted, path)
 print("lifted back: est cost", est_cost(est, path), "=", cost(converted, path), "+ w(root)")
 
 # The proven height bound is loose but safe; n itself always suffices, so
-# optimal_bounded runs with min(height_bound, n).
-print("\nheight_bound(path) =", height_bound(path), "-> budget used:", min(height_bound(path), path.n))
+# optimal_bounded caps its budget at min(height_bound, n). Below that cap it
+# tries smaller budgets first and keeps a result whose cost is at most
+# deep_cost_bound(T, B), which every search tree of height >= B costs.
+print("\nheight_bound(path) =", height_bound(path), "-> budget cap:", min(height_bound(path), path.n))
 print("optimal_bounded:", optimal_bounded(path)[0])
+print("deep_cost_bound(path, B) for B = 1..3:", [deep_cost_bound(path, b) for b in (1, 2, 3)])
 
 # Tight budgets trade cost for height. The star's center is only identified
 # once every edge has been queried, so its best search tree has height 3 and

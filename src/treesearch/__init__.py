@@ -13,6 +13,7 @@ from .bounded_dp import (
     UNASSIGNED,
     ESTNode,
     PBSolution,
+    deep_cost_bound,
     est_compatible,
     est_cost,
     est_height,

@@ -23,11 +23,15 @@ sometimes require.
 
 Exactness: every decision tree has height <= n-1, so an optimal EST of
 height <= n exists and running with B = n (or any B past the instance's
-height bound) returns the exact optimum after conversion.
+height bound) returns the exact optimum after conversion. The DP's work
+grows like 3^B, so ``optimal_bounded`` first tries smaller budgets and keeps
+one only when its cost is at most ``deep_cost_bound``, a lower bound on every
+search tree too tall for that budget; such a result is exact as well.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -408,6 +412,33 @@ def search_tree_to_est(root: DecisionNode, tree: InputTree) -> ESTNode:
     return convert(root)
 
 
+def deep_cost_bound(tree: InputTree, height: int) -> int:
+    """Lower bound on the cost of every search tree of height >= ``height``:
+    w(T) + sum over s = 2..height of S(s), S(s) the sum of the s smallest
+    weights.
+
+    Such a tree has a root-to-leaf path of at least ``height`` queries. The
+    piece at depth 0 on it is T, and the piece at depth k >= 1 still needs
+    height - k more queries, so it has at least height - k + 1 nodes (a piece
+    of p nodes is resolved within p - 1 queries) and weighs at least
+    S(height - k + 1). A tree's cost is the sum of w(piece) over its
+    internal nodes, and weights are non-negative.
+    """
+    smallest = list(itertools.accumulate(sorted(tree.weight)))  # smallest[s-1] = S(s)
+    return tree.total_weight + sum(smallest[1:height])
+
+
+def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]]:
+    """The DP's search tree at one height budget, or None when none fits."""
+    solution = solve_pb(tree, ("T", tree.root), (UNASSIGNED,) * budget, budget)
+    if solution is None:
+        return None
+    out = est_to_search_tree(solution.est, tree)
+    c = dt_cost(out, tree)
+    assert c <= solution.cost - tree.weight[tree.root]
+    return c, out
+
+
 def optimal_bounded(
     tree: InputTree,
     budget: Optional[int] = None,
@@ -415,21 +446,44 @@ def optimal_bounded(
 ) -> tuple[int, DecisionNode]:
     """Exact optimal search tree via the EST dynamic program.
 
-    The default budget is min(height_bound, n): both are sufficient for
-    exactness and the memo is O(n * 2^B), so the smaller wins. Budgets above
-    ``cap`` raise ResourceLimitError (use greedy or the FPTAS instead); an
-    explicitly passed too-small budget can make the problem infeasible.
+    An explicit ``budget`` runs the DP once at that height; a too-small
+    budget can make the problem infeasible. By default the budget is
+    top = min(height_bound, n): both are sufficient for exactness and the
+    memo is O(n * 2^B), so the smaller wins. Budgets above ``cap`` raise
+    ResourceLimitError before any work (use greedy or the FPTAS instead).
+
+    The default then deepens: it runs the DP at B = ceil(log2 n) + 1, ...,
+    top - 1 (no search tree is shorter than ceil(log2 n)) and returns the
+    first result whose cost c_B is at most LB(B) = ``deep_cost_bound(tree,
+    B)``, falling back to the run at top. The certified result is optimal:
+
+    * the DP at B costs no more than any search tree D of height <= B - 1:
+      D lifts to an EST of height <= B costing cost(D) + w(root)
+      (``search_tree_to_est``), and the DP's EST, costing no more, converts
+      to a search tree cheaper than itself by at least w(root);
+    * any search tree of height >= B has a root-to-leaf path of at least B
+      queries, on which the piece at depth 0 is T and the piece at depth
+      k >= 1 has at least B - k + 1 nodes; the cost of a tree is the sum of
+      w(piece) over its internal nodes, so it costs >= LB(B) >= c_B.
+
+    Weights are non-negative, so zero weights only weaken LB(B) and need no
+    special case. The DP's work grows like 3^B, so when no smaller budget
+    certifies, the runs below top together cost about half the run at top
+    (more at small n, where fixed costs dominate).
     """
+    deepen = range(0)
     if budget is None:
         budget = min(height_bound(tree), max(tree.n, 1))
+        deepen = range((tree.n - 1).bit_length() + 1, budget)
     if budget > cap:
         raise ResourceLimitError(
             f"height budget {budget} exceeds the cap {cap}; use greedy or fptas"
         )
-    solution = solve_pb(tree, ("T", tree.root), (UNASSIGNED,) * budget, budget)
-    if solution is None:
+    for b in deepen:
+        found = _solve_at(tree, b)
+        if found is not None and found[0] <= deep_cost_bound(tree, b):
+            return found
+    found = _solve_at(tree, budget)
+    if found is None:
         raise InfeasibleError(f"no search tree within height budget {budget}")
-    out = est_to_search_tree(solution.est, tree)
-    c = dt_cost(out, tree)
-    assert c <= solution.cost - tree.weight[tree.root]
-    return c, out
+    return found

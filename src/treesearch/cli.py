@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import diameter, exact, gen, io as tio
-from .bounded_dp import DEFAULT_HEIGHT_CAP, height_bound, optimal_bounded
+from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
 from .fptas import fptas
 from .greedy import greedy
 from .errors import (
@@ -71,32 +71,45 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _run(alg: str, tree, args):
+    """(cost, strategy) of one named algorithm under the solve options."""
+    if alg == "exact":
+        return exact.opt_cost(tree, limit=args.limit)
+    if alg == "greedy":
+        strategy = greedy(tree)
+        return cost(strategy, tree, check=False), strategy
+    if alg == "dp":
+        return optimal_bounded(tree, budget=args.height, cap=args.cap)
+    if alg == "fptas":
+        if args.eps is None:
+            raise InvalidInstanceError("--alg fptas requires --eps")
+        strategy, c = fptas(tree, args.eps, cap=args.cap)
+        return c, strategy
+    if alg == "diam3":
+        return diameter.solve_diam3(tree)
+    raise InvalidInstanceError(f"unknown algorithm {alg}")  # pragma: no cover - argparse checks
+
+
 def cmd_solve(args) -> int:
     tree = tio.parse_instance(_read(args.input))
     t0 = time.perf_counter()
     alg = args.alg
     if alg == "auto":
+        # The oracle's states are connected pieces (< 2^n) and the DP's work
+        # at budget B is ~3^B with B up to n: below its limit the oracle wins.
         if diameter.tree_diameter(tree) <= 3:
             alg = "diam3"
-        elif min(height_bound(tree), tree.n) <= args.cap:
-            alg = "dp"
+        elif tree.n <= args.limit:
+            alg = "exact"
         else:
-            alg = "greedy"
-    if alg == "exact":
-        c, strategy = exact.opt_cost(tree, limit=args.limit)
-    elif alg == "greedy":
-        strategy = greedy(tree)
-        c = cost(strategy, tree, check=False)
-    elif alg == "dp":
-        c, strategy = optimal_bounded(tree, budget=args.height, cap=args.cap)
-    elif alg == "fptas":
-        if args.eps is None:
-            raise InvalidInstanceError("--alg fptas requires --eps")
-        strategy, c = fptas(tree, args.eps, cap=args.cap)
-    elif alg == "diam3":
-        c, strategy = diameter.solve_diam3(tree)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInstanceError(f"unknown algorithm {alg}")
+            alg = "dp"
+    try:
+        c, strategy = _run(alg, tree, args)
+    except ResourceLimitError:
+        if args.alg != "auto":
+            raise
+        alg = "greedy"  # the DP refuses a budget above --cap before any work
+        c, strategy = _run(alg, tree, args)
     elapsed = time.perf_counter() - t0
     _emit(tio.format_decision_tree(strategy), args.out)
     print(f"alg {alg}")
@@ -191,18 +204,20 @@ def cmd_bench(args) -> int:
             row["greedy_time"] = round(time.perf_counter() - t0, 4)
             if opt:
                 row["greedy_ratio"] = round(g / opt, 4)
-            if min(height_bound(tree), tree.n) <= args.cap:
-                t0 = time.perf_counter()
+            t0 = time.perf_counter()
+            try:
                 row["dp"], _ = optimal_bounded(tree, cap=args.cap)
                 row["dp_time"] = round(time.perf_counter() - t0, 4)
-                t0 = time.perf_counter()
+            except ResourceLimitError:
+                row["dp"] = None
+            t0 = time.perf_counter()
+            try:
                 _, f = fptas(tree, args.eps, cap=args.cap)
                 row["fptas"] = f
                 row["fptas_time"] = round(time.perf_counter() - t0, 4)
                 if opt:
                     row["fptas_ratio"] = round(f / opt, 4)
-            else:
-                row["dp"] = None
+            except ResourceLimitError:
                 row["fptas"] = None
         except TreeSearchError as e:
             row["error"] = str(e)

@@ -93,7 +93,6 @@ def opt_cost_restricted_height(tree: InputTree, height: int, limit: int = DEFAUL
     """
     _check_size(tree, limit)
     sub = tree.subtree_mask
-    w = tree.weight
     memo: dict[tuple[int, int], Optional[int]] = {}
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
 
@@ -107,7 +106,7 @@ def opt_cost_restricted_height(tree: InputTree, height: int, limit: int = DEFAUL
         key = (piece, h)
         if key in memo:
             return memo[key]
-        total = sum(w[v] for v in _bits(piece))
+        total = tree.mask_weight(piece)
         best = None
         m = piece
         while m:
@@ -136,7 +135,6 @@ def opt_cost_min_height(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[in
     """(optimal cost, smallest height among optimal decision trees)."""
     _check_size(tree, limit)
     sub = tree.subtree_mask
-    w = tree.weight
     memo: dict[int, tuple[int, int]] = {}
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
 
@@ -147,7 +145,7 @@ def opt_cost_min_height(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[in
         if piece & (piece - 1) == 0:
             memo[piece] = (0, 0)
             return memo[piece]
-        total = sum(w[v] for v in _bits(piece))
+        total = tree.mask_weight(piece)
         best_c = None
         best_h = None
         m = piece
@@ -214,10 +212,3 @@ def enumerate_decision_trees(tree: InputTree, piece: Optional[int] = None) -> It
                     yield Query(x, no_side, yes_side)
 
     return gen(piece)
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b

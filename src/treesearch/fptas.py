@@ -47,7 +47,13 @@ def fptas(
     cap: int = DEFAULT_HEIGHT_CAP,
     budget: Optional[int] = None,
 ) -> tuple[DecisionNode, int]:
-    """(1 + eps)-approximate search tree, costed under the original weights."""
+    """(1 + eps)-approximate search tree, costed under the original weights.
+
+    ``budget`` and ``cap`` pass to ``optimal_bounded`` on the scaled
+    instance: an explicit budget runs the DP once; the default deepens from
+    ceil(log2 n) + 1 and keeps the first result certified optimal for the
+    scaled weights, which is all the (1 + eps) guarantee needs.
+    """
     scaled = scale_weights(tree, eps)
     _, strategy = optimal_bounded(scaled, budget=budget, cap=cap)
     return strategy, cost(strategy, tree)

@@ -14,6 +14,7 @@ def run(capsys, *argv):
 
 
 PATH3 = "3 0\n0 -1 1\n1 0 1\n2 1 1\n"
+PATH5 = "5 0\n0 -1 3\n1 0 1\n2 1 4\n3 2 1\n4 3 5\n"  # diameter 4
 
 
 @pytest.fixture
@@ -50,6 +51,25 @@ class TestSolve:
             code, out, _ = run(capsys, "solve", path3_file, "--alg", alg,
                                "--out", str(tmp_path / f"{alg}.json"))
             assert code == 0 and "cost 5" in out
+
+    @pytest.mark.parametrize("text, extra, alg", [
+        (PATH5, [], "exact"),
+        (PATH5, ["--limit", "4"], "dp"),
+        ("4 0\n0 -1 0\n1 0 3\n2 0 2\n3 0 1\n", [], "diam3"),
+        (format_instance(random_tree(40, 1, (1, 5))), [], "greedy"),
+    ], ids=["path5", "path5-limit4", "star", "random40"])
+    def test_auto_routing(self, capsys, tmp_path, text, extra, alg):
+        inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
+        inst.write_text(text)
+        code, stdout, _ = run(capsys, "solve", str(inst), "--alg", "auto", "--out", str(out), *extra)
+        assert code == 0
+        assert f"alg {alg}" in stdout.splitlines()
+        printed = next(line for line in stdout.splitlines() if line.startswith("cost "))
+        code, evaluated, _ = run(capsys, "eval", str(inst), str(out))
+        assert code == 0
+        assert printed in evaluated.splitlines()
+        if text == PATH5:
+            assert printed == "cost 32"
 
     def test_malformed_parent_id(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

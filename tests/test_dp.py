@@ -10,6 +10,8 @@ from treesearch import (
     InputTree,
     ResourceLimitError,
     cost,
+    deep_cost_bound,
+    enumerate_decision_trees,
     est_compatible,
     est_cost,
     est_height,
@@ -19,9 +21,11 @@ from treesearch import (
     optimal_bounded,
     search_tree_to_est,
     solve_pb,
+    tree_height,
     validate,
     validate_est,
 )
+from treesearch import bounded_dp
 from treesearch.bounded_dp import forest_mask
 from treesearch.gen import all_tree_shapes, random_tree
 
@@ -196,3 +200,50 @@ class TestOptimalBounded:
             for parents in all_tree_shapes(n):
                 t = InputTree(parents, [rng.choice([0, 0, 0, 1, 3]) for _ in range(n)])
                 assert optimal_bounded(t)[0] == opt_cost(t)[0]
+
+
+class TestDeepening:
+    def test_deep_cost_bound_is_sound(self):
+        # Every search tree of height h >= B costs at least LB(B); zero
+        # weights included.
+        rng = random.Random(17)
+        checked = 0
+        for n in range(1, 7):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, [rng.choice([0, 0, 1, 2, 9]) for _ in range(n)])
+                for strategy in enumerate_decision_trees(t):
+                    c, h = cost(strategy, t), tree_height(strategy)
+                    for budget in range(1, h + 1):
+                        assert c >= deep_cost_bound(t, budget), (parents, t.weight, budget)
+                        checked += 1
+        assert checked > 1000
+
+    def test_default_matches_oracle_through_both_exits(self, monkeypatch):
+        # Zero and skewed weights weaken the bound until the DP falls back to
+        # its top budget; moderate weights let a smaller budget certify.
+        budgets = []
+        solve = bounded_dp.solve_pb
+
+        def recording(tree, forest, plp, budget):
+            budgets.append(budget)
+            return solve(tree, forest, plp, budget)
+
+        monkeypatch.setattr(bounded_dp, "solve_pb", recording)
+        rng = random.Random(18)
+        profiles = (
+            lambda: rng.choice([0, 0, 0, 1, 3]),
+            lambda: rng.choice([1, 1, 1, 1000]),
+            lambda: rng.randint(1, 10),
+        )
+        exits = set()
+        for n in list(range(2, 11)) + [12]:
+            for profile in profiles if n < 12 else profiles[:1]:
+                parents = random_tree(n, rng.randrange(10**6), (1, 1)).parent
+                t = InputTree(parents, [profile() for _ in range(n)])
+                budgets.clear()
+                c, strategy = optimal_bounded(t)
+                assert validate(strategy, t).ok
+                assert c == cost(strategy, t) == opt_cost(t)[0], (parents, t.weight)
+                fell_back = budgets[-1] == min(height_bound(t), n)
+                exits.add("top" if fell_back else "certified")
+        assert exits == {"top", "certified"}
