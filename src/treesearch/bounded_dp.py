@@ -57,7 +57,9 @@ Assignment = Union[int, _Marker]
 PLP = tuple  # cells, each BLOCKED or UNASSIGNED
 SubforestId = tuple  # ("T", v) or ("F", u, f)
 
-DEFAULT_HEIGHT_CAP = 24
+# The DP's time grows about 2.5x per budget level (random n = 21 tree: 0.7 s
+# at budget 10, 4.9 s at 12), so larger budgets are refused by default.
+DEFAULT_HEIGHT_CAP = 12
 
 
 @dataclass
@@ -450,7 +452,8 @@ def optimal_bounded(
     budget can make the problem infeasible. By default the budget is
     top = min(height_bound, n): both are sufficient for exactness and the
     memo is O(n * 2^B), so the smaller wins. Budgets above ``cap`` raise
-    ResourceLimitError before any work (use greedy or the FPTAS instead).
+    ResourceLimitError before any work (use greedy instead: the FPTAS runs
+    the same budget).
 
     The default then deepens: it runs the DP at B = ceil(log2 n) + 1, ...,
     top - 1 (no search tree is shorter than ceil(log2 n)) and returns the
@@ -477,7 +480,7 @@ def optimal_bounded(
         deepen = range((tree.n - 1).bit_length() + 1, budget)
     if budget > cap:
         raise ResourceLimitError(
-            f"height budget {budget} exceeds the cap {cap}; use greedy or fptas"
+            f"height budget {budget} exceeds the cap {cap}; use greedy"
         )
     for b in deepen:
         found = _solve_at(tree, b)

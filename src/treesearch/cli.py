@@ -57,9 +57,9 @@ def _parse_eps(text: str) -> Fraction:
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InvalidInstanceError(f"bad epsilon {text!r}; use p/q or a decimal") from None
+        raise argparse.ArgumentTypeError(f"bad epsilon {text!r}; use p/q or a decimal") from None
     if eps <= 0:
-        raise InvalidInstanceError("epsilon must be positive")
+        raise argparse.ArgumentTypeError("epsilon must be positive")
     return eps
 
 
@@ -67,7 +67,9 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split("..", 1))
     except ValueError:
-        raise InvalidInstanceError(f"bad weight range {text!r}; expected lo..hi") from None
+        raise argparse.ArgumentTypeError(f"bad weight range {text!r}; expected lo..hi") from None
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad weight range {text!r}; need 0 <= lo <= hi")
     return lo, hi
 
 
@@ -137,18 +139,14 @@ def cmd_eval(args) -> int:
 
 def cmd_gen(args) -> int:
     lo, hi = args.weights
-    if args.kind == "path":
-        tree = gen.path_tree(args.n, gen.seeded_weights(args.n, args.seed, hi) if lo != hi else [lo] * args.n)
-    elif args.kind == "star":
-        tree = gen.star_tree(args.n, gen.seeded_weights(args.n, args.seed, hi) if lo != hi else [lo] * args.n)
-    elif args.kind == "complete-d-ary":
-        tree = gen.complete_dary_tree(
-            args.n, args.arity,
-            gen.seeded_weights(args.n, args.seed, hi) if lo != hi else [lo] * args.n)
-    elif args.kind == "random":
+    if args.kind == "random":
         tree = gen.random_tree(args.n, args.seed, (lo, hi))
-    else:  # pragma: no cover
-        raise InvalidInstanceError(f"unknown kind {args.kind}")
+    else:
+        weights = gen.seeded_weights(args.n, args.seed, hi, lo)
+        if args.kind == "complete-d-ary":
+            tree = gen.complete_dary_tree(args.n, args.arity, weights)
+        else:
+            tree = (gen.path_tree if args.kind == "path" else gen.star_tree)(args.n, weights)
     _emit(tio.format_instance(tree), args.out)
     return EXIT_OK
 
@@ -190,35 +188,16 @@ def cmd_bench(args) -> int:
         try:
             tree = tio.parse_instance(path.read_text())
             row["n"] = tree.n
-            opt = None
-            if tree.n <= args.limit:
+            for alg in ("exact", "greedy", "dp", "fptas"):
                 t0 = time.perf_counter()
-                opt, _ = exact.opt_cost(tree, limit=args.limit)
-                row["exact"] = opt
-                row["exact_time"] = round(time.perf_counter() - t0, 4)
-            else:
-                row["exact"] = None
-            t0 = time.perf_counter()
-            g = cost(greedy(tree), tree, check=False)
-            row["greedy"] = g
-            row["greedy_time"] = round(time.perf_counter() - t0, 4)
-            if opt:
-                row["greedy_ratio"] = round(g / opt, 4)
-            t0 = time.perf_counter()
-            try:
-                row["dp"], _ = optimal_bounded(tree, cap=args.cap)
-                row["dp_time"] = round(time.perf_counter() - t0, 4)
-            except ResourceLimitError:
-                row["dp"] = None
-            t0 = time.perf_counter()
-            try:
-                _, f = fptas(tree, args.eps, cap=args.cap)
-                row["fptas"] = f
-                row["fptas_time"] = round(time.perf_counter() - t0, 4)
-                if opt:
-                    row["fptas_ratio"] = round(f / opt, 4)
-            except ResourceLimitError:
-                row["fptas"] = None
+                try:
+                    row[alg], _ = _run(alg, tree, args)
+                except ResourceLimitError:
+                    row[alg] = None
+                    continue
+                row[f"{alg}_time"] = round(time.perf_counter() - t0, 4)
+                if alg in ("greedy", "fptas") and row["exact"]:
+                    row[f"{alg}_ratio"] = round(row[alg] / row["exact"], 4)
         except TreeSearchError as e:
             row["error"] = str(e)
             failed = True
@@ -279,7 +258,7 @@ def _build_parser() -> _Parser:
     bp.add_argument("--limit", type=int, default=exact.DEFAULT_LIMIT)
     bp.add_argument("--cap", type=int, default=DEFAULT_HEIGHT_CAP)
     bp.add_argument("--json", default=None, help="also write a structured report")
-    bp.set_defaults(func=cmd_bench)
+    bp.set_defaults(func=cmd_bench, height=None)  # _run's dp then picks its own budget
     return p
 
 

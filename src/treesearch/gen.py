@@ -92,9 +92,9 @@ def unit_weights(n: int) -> list[int]:
     return [1] * n
 
 
-def seeded_weights(n: int, seed: int, hi: int = 10) -> list[int]:
+def seeded_weights(n: int, seed: int, hi: int = 10, lo: int = 1) -> list[int]:
     rng = random.Random(seed)
-    return [rng.randint(1, hi) for _ in range(n)]
+    return [rng.randint(lo, hi) for _ in range(n)]
 
 
 def one_heavy_weights(n: int) -> list[int]:

@@ -57,7 +57,8 @@ class TestSolve:
         (PATH5, ["--limit", "4"], "dp"),
         ("4 0\n0 -1 0\n1 0 3\n2 0 2\n3 0 1\n", [], "diam3"),
         (format_instance(random_tree(40, 1, (1, 5))), [], "greedy"),
-    ], ids=["path5", "path5-limit4", "star", "random40"])
+        (format_instance(random_tree(21, 1)), [], "greedy"),  # the DP's budget 21 is over the cap
+    ], ids=["path5", "path5-limit4", "star", "random40", "random21"])
     def test_auto_routing(self, capsys, tmp_path, text, extra, alg):
         inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
         inst.write_text(text)
@@ -80,15 +81,30 @@ class TestSolve:
 
     def test_resource_cap(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
-        big.write_text(format_instance(random_tree(40, 1, (1, 5))))
-        code, _, err = run(capsys, "solve", str(big), "--alg", "dp")
-        assert code == 3
-        assert "cap" in err
+        for n in (21, 40):
+            big.write_text(format_instance(random_tree(n, 1, (1, 5))))
+            code, _, err = run(capsys, "solve", str(big), "--alg", "dp")
+            assert code == 3
+            assert "cap" in err
 
     def test_usage_error_exit_code(self, capsys, path3_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", path3_file, "--alg", "nonsense"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x.txt", "--eps", "abc"],
+        ["solve", "x.txt", "--eps", "0"],
+        ["bench", "suite", "--eps=-1/2"],
+        ["gen", "path", "3", "--weights", "abc"],
+        ["gen", "path", "3", "--weights", "5..3"],
+        ["gen", "random", "3", "--weights=-1..3"],
+    ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative"])
+    def test_bad_option_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
 
 
 class TestEval:
@@ -129,6 +145,12 @@ class TestGen:
         run(capsys, "gen", "random", "9", "--seed", "3", "--out", str(out))
         tree = parse_instance(out.read_text())
         assert format_instance(tree) == out.read_text()
+
+    @pytest.mark.parametrize("kind", ["path", "star", "complete-d-ary", "random"])
+    def test_weights_within_range(self, capsys, kind):
+        code, out, _ = run(capsys, "gen", kind, "8", "--weights", "7..9", "--seed", "1")
+        assert code == 0
+        assert set(parse_instance(out).weight) <= {7, 8, 9}
 
     def test_n_zero_rejected(self, capsys):
         code, _, err = run(capsys, "gen", "path", "0")

@@ -5,6 +5,7 @@ import pytest
 from treesearch import (
     InputTree,
     NodePiece,
+    Query,
     ResourceLimitError,
     cost,
     enumerate_decision_trees,
@@ -12,6 +13,7 @@ from treesearch import (
     opt_cost_min_height,
     opt_cost_restricted_height,
     optimal_first_queries,
+    tree_height,
     validate,
 )
 from treesearch.exact import _Oracle
@@ -50,6 +52,21 @@ def test_matches_full_enumeration_small():
             best, _ = opt_cost(t)
             enumerated = min(cost(d, t, check=False) for d in enumerate_decision_trees(t))
             assert best == enumerated
+
+
+def test_derived_answers_match_enumeration():
+    # The first-query set and the minimal height, both read from the memo,
+    # equal what the explicit list of all optimal decision trees gives.
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for parents in all_tree_shapes(n):
+            t = InputTree(parents, [rng.randint(0, 2) for _ in range(n)])
+            scored = [(cost(d, t, check=False), d) for d in enumerate_decision_trees(t)]
+            best = min(c for c, _ in scored)
+            optimal = [d for c, d in scored if c == best]
+            firsts = frozenset(d.query for d in optimal if isinstance(d, Query))
+            assert optimal_first_queries(t) == firsts
+            assert opt_cost_min_height(t) == (best, min(tree_height(d) for d in optimal))
 
 
 def test_restricted_height():
