@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
-from .model import DecisionNode, Diagnostics, InputTree, Leaf, Query, cost as dt_cost
+from .model import DecisionNode, Diagnostics, InputTree, Leaf, Query, build_decision_tree, cost as dt_cost
 
 
 class _Marker:
@@ -367,26 +367,24 @@ def est_to_search_tree(est: ESTNode, tree: InputTree, check: bool = True) -> Dec
     if check:
         validate_est(est, tree).raise_if_invalid()
     root_id = tree.root
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * (est_height(est) + 10) + 1000))
 
-    def convert(node: Optional[ESTNode]) -> Optional[DecisionNode]:
+    def convert(node: Optional[ESTNode]):
+        while node is not None:
+            a = node.assignment
+            if a is BLOCKED or a is UNASSIGNED:
+                node = node.left  # right deletion of a placeholder
+            elif a == root_id and (node.left is not None or node.right is not None):
+                node = node.right  # left deletion of the root's query
+            else:
+                break
         if node is None:
             return None
-        a = node.assignment
-        if a is BLOCKED or a is UNASSIGNED:
-            return convert(node.left)  # right deletion of a placeholder
         if node.left is None and node.right is None:
-            return Leaf(a)
-        if a == root_id:
-            return convert(node.right)  # left deletion of the root's query
-        no = convert(node.left)
-        yes = convert(node.right)
-        if yes is None or no is None:
-            # A query with an empty side carries no information; splice it.
-            return yes if no is None else no
-        return Query(a, no, yes)
+            return Leaf(node.assignment)
+        # A query with an empty side carries no information; it is spliced out.
+        return node.assignment, node.left, node.right
 
-    out = convert(est)
+    out = build_decision_tree(est, convert)
     if out is None:
         raise InvalidDecisionTreeError(["EST converts to an empty search tree"])
     if check:
@@ -403,15 +401,21 @@ def search_tree_to_est(root: DecisionNode, tree: InputTree) -> ESTNode:
     replacing it with (query root -> YES: leaf root) yields an EST whose cost
     is exactly the search-tree cost plus w(root), one level taller at most.
     """
-    def convert(node: DecisionNode) -> ESTNode:
-        if isinstance(node, Leaf):
-            if node.node == tree.root:
-                return ESTNode(tree.root, right=ESTNode(tree.root))
-            return ESTNode(node.node)
-        return ESTNode(node.query, left=convert(node.no), right=convert(node.yes))
+    def lift(node: DecisionNode) -> ESTNode:
+        if isinstance(node, Query):
+            return ESTNode(node.query)
+        if node.node == tree.root:
+            return ESTNode(tree.root, right=ESTNode(tree.root))
+        return ESTNode(node.node)
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * tree.n + 1000))
-    return convert(root)
+    est = lift(root)
+    todo = [(root, est)]  # ESTNodes are mutable, so children attach top-down
+    while todo:
+        node, lifted = todo.pop()
+        if isinstance(node, Query):
+            lifted.left, lifted.right = lift(node.no), lift(node.yes)
+            todo += ((node.no, lifted.left), (node.yes, lifted.right))
+    return est
 
 
 def deep_cost_bound(tree: InputTree, height: int) -> int:

@@ -63,6 +63,16 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _parse_height(text: str) -> int:
+    try:
+        height = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad height {text!r}; expected an integer") from None
+    if height < 0:
+        raise argparse.ArgumentTypeError("height must be non-negative")
+    return height
+
+
 def _parse_weight_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split("..", 1))
@@ -221,7 +231,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("input")
     sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
     sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
-    sp.add_argument("--height", type=int, default=None, help="explicit EST height budget for dp")
+    sp.add_argument("--height", type=_parse_height, default=None, help="explicit EST height budget for dp")
     sp.add_argument("--limit", type=int, default=exact.DEFAULT_LIMIT, help="exact-solver node cap")
     sp.add_argument("--cap", type=int, default=DEFAULT_HEIGHT_CAP, help="dp height-budget cap")
     sp.add_argument("--out", default=None)

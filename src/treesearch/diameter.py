@@ -112,7 +112,6 @@ def solve_diam3(tree: InputTree, stats: Optional[dict] = None) -> tuple[int, Dec
 
     ``stats``, when given, receives {"states": <number of DP states evaluated>}.
     """
-    steps = 0
     diam = tree_diameter(tree)
     if diam > 3:
         raise InvalidInstanceError("solve_diam3 requires diameter <= 3")
@@ -130,67 +129,59 @@ def solve_diam3(tree: InputTree, stats: Optional[dict] = None) -> tuple[int, Dec
     r_leaves = sorted((v for v in adj[r] if v != rp), key=lambda v: (-w[v], v))
     rp_leaves = sorted((v for v in adj[rp] if v != r), key=lambda v: (-w[v], v))
 
-    # Suffix sums over the sorted leaf lists: weight and sequential cost of
-    # the star piece that remains after dropping the a heaviest leaves.
-    def suffixes(leaves):
-        ws = [0] * (len(leaves) + 1)
-        seq = [0] * (len(leaves) + 1)
+    def sides(center: int, leaves: list[int]) -> tuple[list[int], list[int]]:
+        """Weight and sequential cost of the star piece of ``center`` that
+        remains after isolating its a heaviest leaves, for each a."""
+        weight = [w[center]] * (len(leaves) + 1)
+        star = [0] * (len(leaves) + 1)
         for a in range(len(leaves) - 1, -1, -1):
-            ws[a] = ws[a + 1] + w[leaves[a]]
-            # dropping a leaves: ranks shift, cost = sum (k-a) * w_k
-            seq[a] = seq[a + 1] + ws[a]
-        return ws, seq
+            weight[a] = weight[a + 1] + w[leaves[a]]
+            star[a] = star[a + 1] + weight[a]  # one more level over the whole piece
+        return weight, star
 
-    r_ws, r_seq = suffixes(r_leaves)
-    rp_ws, rp_seq = suffixes(rp_leaves)
+    r_w, r_star = sides(r, r_leaves)
+    rp_w, rp_star = sides(rp, rp_leaves)
 
-    def star_r(a: int) -> int:
-        return r_seq[a] + (len(r_leaves) - a) * w[r]
+    # Bottom-up table over (a, b) = heaviest leaves already isolated from
+    # (r, r'), rows a = A..0 with b = B..0 inside each. The root of the piece
+    # queries the center edge ("split", 0), the next r-leaf (1) or the next
+    # r'-leaf (2); ties keep the earlier choice.
+    A, B = len(r_leaves), len(rp_leaves)
+    below: list[int] = []  # costs of row a + 1
+    choices: list[bytearray] = [bytearray()] * (A + 1)
+    for a in range(A, -1, -1):
+        row = [0] * (B + 1)
+        pick = bytearray(B + 1)
+        for b in range(B, -1, -1):
+            piece_w = r_w[a] + rp_w[b]
+            best = piece_w + r_star[a] + rp_star[b]
+            if a < A and piece_w + below[b] < best:
+                best, pick[b] = piece_w + below[b], 1
+            if b < B and piece_w + row[b + 1] < best:
+                best, pick[b] = piece_w + row[b + 1], 2
+            row[b] = best
+        below, choices[a] = row, pick
+    total = below[0]
 
-    def star_rp(b: int) -> int:
-        return rp_seq[b] + (len(rp_leaves) - b) * w[rp]
-
-    memo: dict[tuple[int, int], tuple[int, str]] = {}
-
-    def solve(a: int, b: int) -> tuple[int, str]:
-        nonlocal steps
-        hit = memo.get((a, b))
-        if hit is not None:
-            return hit
-        steps += 1
-        piece_w = w[r] + w[rp] + r_ws[a] + rp_ws[b]
-        # Candidate roots: split the centers, or isolate the heaviest leaf.
-        best = piece_w + star_r(a) + star_rp(b)
-        tag = "split"
-        if a < len(r_leaves):
-            c = piece_w + solve(a + 1, b)[0]
-            if c < best:
-                best, tag = c, "r"
-        if b < len(rp_leaves):
-            c = piece_w + solve(a, b + 1)[0]
-            if c < best:
-                best, tag = c, "rp"
-        memo[(a, b)] = (best, tag)
-        return memo[(a, b)]
-
-    total, _ = solve(0, 0)
-
-    def build(a: int, b: int) -> DecisionNode:
-        tag = memo[(a, b)][1]
-        if tag == "r":
-            x = r_leaves[a]
-            return _isolating_query(tree, r, x, build(a + 1, b))
-        if tag == "rp":
-            x = rp_leaves[b]
-            return _isolating_query(tree, rp, x, build(a, b + 1))
-        # Query the center edge; each side is a star.
-        r_star = _sequential_star(tree, r, r_leaves[a:])
-        rp_star = _sequential_star(tree, rp, rp_leaves[b:])
-        if tree.parent[rp] == r:
-            return Query(rp, no=r_star, yes=rp_star)
-        return Query(r, no=rp_star, yes=r_star)
-
-    strategy = build(0, 0)
+    # Walk the choices from (0, 0) to the split, then wrap the split in the
+    # isolating queries from the bottom up.
+    a = b = 0
+    isolated = []
+    while choices[a][b]:
+        if choices[a][b] == 1:
+            isolated.append((r, r_leaves[a]))
+            a += 1
+        else:
+            isolated.append((rp, rp_leaves[b]))
+            b += 1
+    r_side = _sequential_star(tree, r, r_leaves[a:])
+    rp_side = _sequential_star(tree, rp, rp_leaves[b:])
+    if tree.parent[rp] == r:
+        strategy = Query(rp, no=r_side, yes=rp_side)
+    else:
+        strategy = Query(r, no=rp_side, yes=r_side)
+    for center, x in reversed(isolated):
+        strategy = _isolating_query(tree, center, x, strategy)
     if stats is not None:
-        stats["states"] = steps
+        stats["states"] = (A + 1) * (B + 1)
     return total, strategy

@@ -8,19 +8,17 @@ toward the smallest node id. This is a polynomial 2-approximation.
 
 from __future__ import annotations
 
-import sys
-
-from .model import DecisionNode, InputTree, Leaf, Query
+from .model import DecisionNode, InputTree, Leaf, build_decision_tree
 
 
 def greedy(tree: InputTree) -> DecisionNode:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
     post = tree.postorder
     children = tree.children
     weight = tree.weight
     sub = tree.subtree_mask
 
-    def build(piece: int, top: int) -> DecisionNode:
+    def split(item: tuple[int, int]):
+        piece, top = item
         if piece & (piece - 1) == 0:
             return Leaf(piece.bit_length() - 1)
         # One bottom-up pass per piece: subtree weights within the piece.
@@ -43,6 +41,6 @@ def greedy(tree: InputTree) -> DecisionNode:
                 if best is None or gap < best or (gap == best and v < best_x):
                     best, best_x = gap, v
         inside = piece & sub[best_x]
-        return Query(best_x, build(piece ^ inside, top), build(inside, best_x))
+        return best_x, (piece ^ inside, top), (inside, best_x)
 
-    return build(tree.full_mask(), tree.root)
+    return build_decision_tree((tree.full_mask(), tree.root), split)

@@ -3,14 +3,17 @@
 Instance files: first line ``n root_id``, then one ``id parent_id weight``
 line per node with ``parent_id = -1`` for the root; children order is the
 order child lines appear. Decision trees are JSON with records
-``{"query": v, "no": ..., "yes": ...}`` and ``{"leaf": v}``. X3C files:
+``{"query": v, "no": ..., "yes": ...}`` and ``{"leaf": v}``, written on a
+single line; both the writer and the reader walk the records with an
+explicit stack, so strategies of any height round-trip, and indented files
+of the same records parse too. X3C files:
 first line ``n m``, then m lines of three 0-based element indices.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import re
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
 from .model import DecisionNode, InputTree, Leaf, Query
@@ -79,45 +82,88 @@ def format_instance(tree: InputTree) -> str:
     return "\n".join(out) + "\n"
 
 
-def _tree_to_obj(node: DecisionNode):
-    if isinstance(node, Leaf):
-        return {"leaf": node.node}
-    if isinstance(node, Query):
-        if node.no is None or node.yes is None:
-            raise InvalidDecisionTreeError([f"query {node.query} is missing a child"])
-        return {"query": node.query, "no": _tree_to_obj(node.no), "yes": _tree_to_obj(node.yes)}
-    raise InvalidDecisionTreeError([f"unexpected node {node!r}"])
-
-
 def format_decision_tree(root: DecisionNode) -> str:
-    from .model import tree_height
+    """The strategy as one line of JSON (``json.dumps`` of its records with
+    default separators), written from an explicit stack so that the text and
+    the time grow as O(n) at any height."""
+    out: list[str] = []
+    todo: list = [root]  # decision nodes, and literal text to emit as is
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Leaf):
+            out.append(f'{{"leaf": {node.node}}}')
+        elif isinstance(node, Query):
+            if node.no is None or node.yes is None:
+                raise InvalidDecisionTreeError([f"query {node.query} is missing a child"])
+            out.append(f'{{"query": {node.query}, "no": ')
+            todo += ("}", node.yes, ', "yes": ', node.no)
+        else:
+            raise InvalidDecisionTreeError([f"unexpected node {node!r}"])
+    return "".join(out) + "\n"
 
-    need = 4 * tree_height(root) + 100
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    return json.dumps(_tree_to_obj(root), indent=2) + "\n"
+
+# One JSON token after optional whitespace: punctuation, a string, an integer
+# literal, or any other character (always an error where it appears).
+_TOKEN = re.compile(
+    r'[ \t\n\r]*(?:([{}:,])|("(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*")'
+    r"|(-?(?:0|[1-9][0-9]*))|([^ \t\n\r]))"
+)
 
 
-def _obj_to_tree(obj) -> DecisionNode:
-    if not isinstance(obj, dict):
-        raise InvalidDecisionTreeError([f"expected an object, got {type(obj).__name__}"])
-    if set(obj) == {"leaf"}:
-        if not isinstance(obj["leaf"], int):
-            raise InvalidDecisionTreeError(["leaf id must be an integer"])
-        return Leaf(obj["leaf"])
-    if set(obj) == {"query", "no", "yes"}:
-        if not isinstance(obj["query"], int):
-            raise InvalidDecisionTreeError(["query id must be an integer"])
-        return Query(obj["query"], _obj_to_tree(obj["no"]), _obj_to_tree(obj["yes"]))
-    raise InvalidDecisionTreeError([f"bad record keys {sorted(obj)}"])
+def _record(fields: dict) -> DecisionNode:
+    if fields.keys() == {"leaf"}:
+        return Leaf(fields["leaf"])
+    if fields.keys() == {"query", "no", "yes"}:
+        return Query(fields["query"], fields["no"], fields["yes"])
+    raise InvalidDecisionTreeError([f"bad record keys {sorted(fields)}"])
 
 
 def parse_decision_tree(text: str) -> DecisionNode:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidDecisionTreeError([f"bad JSON: {e}"]) from None
-    return _obj_to_tree(obj)
+    """Read a strategy written by ``format_decision_tree``, or any JSON of
+    the same records in any key order and whitespace (indented files
+    included), with an explicit stack instead of recursion. Node ids must
+    be integer literals."""
+    tokens = _TOKEN.finditer(text)
+
+    def take(group: int, punct: str = "") -> str:
+        """The next token, which must match ``group`` (1 punctuation, 2 a
+        string, 3 an integer) and, for punctuation, be one of ``punct``."""
+        m = next(tokens, None)
+        if m is None or m[group] is None or (punct and m[group] not in punct):
+            where = "the end" if m is None else f"offset {m.start(m.lastindex)}"
+            what = {2: "a key", 3: "an integer node id"}.get(group) or " or ".join(map(repr, punct))
+            raise InvalidDecisionTreeError([f"bad JSON at {where}: expected {what}"])
+        return m[group]
+
+    take(1, "{")
+    open_records: list[tuple[dict, str]] = []  # enclosing records, each with its key awaiting a value
+    fields: dict = {}
+    while True:
+        key = take(2)
+        key = json.loads(key) if "\\" in key else key[1:-1]
+        if key not in ("leaf", "query", "no", "yes") or key in fields:
+            raise InvalidDecisionTreeError([f"bad record keys {sorted(fields) + [key]}"])
+        take(1, ":")
+        if key in ("no", "yes"):
+            take(1, "{")
+            open_records.append((fields, key))
+            fields = {}
+            continue
+        try:
+            fields[key] = int(take(3))
+        except ValueError:  # more digits than int() accepts
+            raise InvalidDecisionTreeError([f"{key} id is too long"]) from None
+        # After a value: ',' starts the next key; each '}' closes a record.
+        while take(1, ",}") == "}":
+            node = _record(fields)
+            if not open_records:
+                if next(tokens, None) is not None:
+                    raise InvalidDecisionTreeError(["extra data after the strategy"])
+                return node
+            fields, key = open_records.pop()
+            fields[key] = node
 
 
 def parse_x3c(text: str) -> tuple[int, list[tuple[int, int, int]]]:

@@ -12,17 +12,10 @@ reduction needs them) work throughout.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
-
-
-def _ensure_recursion(depth: int) -> None:
-    need = depth + 100
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 class InputTree:
@@ -215,6 +208,29 @@ def iter_nodes(root: Optional[DecisionNode]) -> Iterator[tuple[DecisionNode, int
                 stack.append((node.yes, d + 1))
 
 
+def build_decision_tree(root, expand: Callable) -> Optional[DecisionNode]:
+    """Build a decision tree from the item ``root`` without recursion.
+
+    ``expand(item)`` returns either a finished node (None for an empty one)
+    or a triple (query, no_item, yes_item) whose items are expanded in turn.
+    A query whose side comes out empty is replaced by its other side.
+    """
+    todo = [(root, None)]  # (item, None) to expand, (None, query) to join
+    built: list[Optional[DecisionNode]] = []
+    while todo:
+        item, query = todo.pop()
+        if query is not None:  # both sides of ``query`` are the last two built
+            yes, no = built.pop(), built.pop()
+            built.append(yes if no is None else no if yes is None else Query(query, no, yes))
+            continue
+        out = expand(item)
+        if isinstance(out, tuple):
+            todo += ((None, out[0]), (out[2], None), (out[1], None))
+        else:
+            built.append(out)
+    return built[0]
+
+
 def leaf_depths(root: DecisionNode) -> dict[int, int]:
     """Map each leaf assignment to its depth. Duplicate leaves keep the last seen."""
     return {n.node: d for n, d in iter_nodes(root) if isinstance(n, Leaf)}
@@ -311,49 +327,41 @@ def cost(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = None,
 Path = Sequence[str]  # each step "no" or "yes"
 
 
-def _node_at(root: DecisionNode, path: Path) -> DecisionNode:
+def _walk(root: DecisionNode, path: Path) -> tuple[list[tuple[Query, str]], DecisionNode]:
+    """The (query, step) pairs along ``path`` and the node it reaches."""
+    spine = []
     node = root
     for step in path:
         if not isinstance(node, Query):
             raise InvalidDecisionTreeError([f"path step {step!r} descends below a leaf"])
-        if step == "no":
-            node = node.no
-        elif step == "yes":
-            node = node.yes
-        else:
+        if step not in ("no", "yes"):
             raise InvalidDecisionTreeError([f"bad path step {step!r}"])
+        spine.append((node, step))
+        node = node.no if step == "no" else node.yes
         if node is None:
             raise InvalidDecisionTreeError(["path leads to an empty slot"])
-    return node
+    return spine, node
 
 
-def _replace_at(root: DecisionNode, path: Path, repl: Optional[DecisionNode]) -> Optional[DecisionNode]:
-    if not path:
-        return repl
-    if not isinstance(root, Query):
-        raise InvalidDecisionTreeError(["path descends below a leaf"])
-    step, rest = path[0], path[1:]
-    if step == "no":
-        return Query(root.query, _replace_at(root.no, rest, repl), root.yes)
-    if step == "yes":
-        return Query(root.query, root.no, _replace_at(root.yes, rest, repl))
-    raise InvalidDecisionTreeError([f"bad path step {step!r}"])
+def _replace(spine: list[tuple[Query, str]], repl: Optional[DecisionNode]) -> Optional[DecisionNode]:
+    """Rebuild the queries along ``spine`` bottom-up with ``repl`` at its end."""
+    for node, step in reversed(spine):
+        repl = Query(node.query, repl, node.yes) if step == "no" else Query(node.query, node.no, repl)
+    return repl
 
 
 def left_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
     """Remove the node at ``path`` together with its NO subtree; its YES
     subtree takes its place (None when deleting a leaf)."""
-    target = _node_at(root, path)
-    survivor = target.yes if isinstance(target, Query) else None
-    return _replace_at(root, path, survivor)
+    spine, target = _walk(root, path)
+    return _replace(spine, target.yes if isinstance(target, Query) else None)
 
 
 def right_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
     """Remove the node at ``path`` together with its YES subtree; its NO
     subtree takes its place."""
-    target = _node_at(root, path)
-    survivor = target.no if isinstance(target, Query) else None
-    return _replace_at(root, path, survivor)
+    spine, target = _walk(root, path)
+    return _replace(spine, target.no if isinstance(target, Query) else None)
 
 
 def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionNode:
@@ -367,23 +375,14 @@ def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionN
     ``uninformative_ancestor_counts``).
     """
     validate(root, tree).raise_if_invalid()
-    _ensure_recursion(tree_height(root))
     mask = piece.mask
 
-    def prune(node: Optional[DecisionNode]) -> Optional[DecisionNode]:
-        if node is None:
-            return None
+    def prune(node: DecisionNode):
         if isinstance(node, Leaf):
             return node if mask >> node.node & 1 else None
-        no = prune(node.no)
-        yes = prune(node.yes)
-        if no is None:
-            return yes
-        if yes is None:
-            return no
-        return Query(node.query, no, yes)
+        return node.query, node.no, node.yes
 
-    out = prune(root)
+    out = build_decision_tree(root, prune)
     if out is None:
         raise InvalidDecisionTreeError(["restriction produced an empty tree"])
     validate(out, tree, piece).raise_if_invalid()

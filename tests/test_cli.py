@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treesearch import format_instance, parse_decision_tree, parse_instance
+from treesearch import InputTree, format_instance, parse_decision_tree, parse_instance
 from treesearch.cli import main
-from treesearch.gen import random_tree
+from treesearch.gen import random_tree, seeded_weights, star_tree
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -99,7 +105,9 @@ class TestSolve:
         ["gen", "path", "3", "--weights", "abc"],
         ["gen", "path", "3", "--weights", "5..3"],
         ["gen", "random", "3", "--weights=-1..3"],
-    ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative"])
+        ["solve", "x.txt", "--height", "-1"],
+    ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative",
+            "height-negative"])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -122,9 +130,58 @@ class TestEval:
         assert code == 2
         assert "violation" in out
 
+    @pytest.mark.parametrize("text", [
+        '{"query": 1, "no": {"leaf": 0}, "yes": {"leaf": true}}',
+        '{"query": true, "no": {"leaf": 0}, "yes": {"leaf": 1}}',
+    ], ids=["leaf-true", "query-true"])
+    def test_boolean_node_id_rejected(self, capsys, tmp_path, text):
+        path2 = tmp_path / "path2.txt"
+        path2.write_text("2 0\n0 -1 1\n1 0 1\n")
+        tree_file = tmp_path / "t.json"
+        tree_file.write_text(text)
+        code, _, err = run(capsys, "eval", str(path2), str(tree_file))
+        assert code == 2
+        assert "integer" in err
+
     def test_missing_file(self, capsys, path3_file):
         code, _, err = run(capsys, "eval", path3_file, "/nonexistent/tree.json")
         assert code == 2
+
+
+def _spider(legs):
+    """A center with a path of each length in ``legs`` hanging from it."""
+    parent = [-1]
+    for length in legs:
+        parent += [0] + list(range(len(parent), len(parent) + length - 1))
+    return InputTree(parent, [1] * len(parent))
+
+
+def _cli(*argv):
+    """The CLI in a fresh interpreter, at its default recursion limit."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "treesearch.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestTallStrategies:
+    @pytest.mark.parametrize("tree, alg, height", [
+        (star_tree(10_000, seeded_weights(10_000, 3)), "diam3", 9999),
+        (InputTree([-1, 0] + [0] * 600 + [1] * 600, seeded_weights(1202, 4)), "diam3", None),
+        (_spider([2, 2] + [1] * 1495), "greedy", 1497),
+    ], ids=["star-10000", "double-star-1202", "spider-1500"])
+    def test_solve_eval_round_trip(self, tmp_path, tree, alg, height):
+        inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
+        inst.write_text(format_instance(tree))
+        solved = _cli("solve", str(inst), "--out", str(out))
+        assert solved.returncode == 0, solved.stderr
+        lines = solved.stdout.splitlines()
+        assert f"alg {alg}" in lines
+        if height is not None:
+            assert f"height {height}" in lines
+        printed = next(line for line in lines if line.startswith("cost "))
+        evaluated = _cli("eval", str(inst), str(out))
+        assert evaluated.returncode == 0, evaluated.stderr
+        assert evaluated.stdout.splitlines()[:2] == ["valid", printed]
 
 
 class TestGen:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from treesearch import (
     est_cost,
     est_height,
     est_to_search_tree,
+    format_decision_tree,
     height_bound,
     opt_cost,
     optimal_bounded,
@@ -132,6 +134,15 @@ class TestConversion:
             assert est_cost(est, t) == cost(strategy, t) + t.weight[t.root]
             back = est_to_search_tree(est, t)
             assert cost(back, t) == cost(strategy, t)
+
+    def test_round_trip_tall_star(self, star1500, default_recursion_limit):
+        tree, strategy = star1500
+        est = search_tree_to_est(strategy, tree)
+        assert sys.getrecursionlimit() == default_recursion_limit
+        assert est_cost(est, tree) == cost(strategy, tree) + tree.weight[tree.root]
+        back = est_to_search_tree(est, tree)
+        assert sys.getrecursionlimit() == default_recursion_limit
+        assert format_decision_tree(back) == format_decision_tree(strategy)
 
     def test_pure_reroot_equality(self, path3):
         sol = solve_pb(path3, ("T", 0), (U, U, U, U), 4)

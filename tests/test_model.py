@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from treesearch import (
     NodePiece,
     Query,
     cost,
+    format_decision_tree,
     greedy,
     leaf_depths,
     left_delete,
@@ -137,6 +139,15 @@ class TestDeletions:
         with pytest.raises(InvalidDecisionTreeError):
             left_delete(path3_tree, ["no", "no"])
 
+    def test_deep_path(self, star1500, default_recursion_limit):
+        tree, strategy = star1500
+        # The last query isolates the lightest leaf; deleting it with its YES
+        # leaf lifts the center's leaf one level.
+        out = right_delete(strategy, ["no"] * 1499)
+        assert sys.getrecursionlimit() == default_recursion_limit
+        depths = leaf_depths(out)
+        assert len(depths) == tree.n - 1 and depths[tree.root] == 1499
+
 
 class TestNodePiece:
     def test_whole(self, path3):
@@ -187,3 +198,15 @@ class TestRestrict:
             drops = uninformative_ancestor_counts(strategy, piece)
             for x in nodes:
                 assert sub[x] == full[x] - drops[x]
+
+    def test_tall_star_strategy(self, star1500, default_recursion_limit):
+        tree, strategy = star1500
+        whole = restrict(strategy, tree, NodePiece.whole(tree))
+        assert sys.getrecursionlimit() == default_recursion_limit
+        assert format_decision_tree(whole) == format_decision_tree(strategy)
+        piece = NodePiece.of(tree, range(0, tree.n, 2))  # the center and every other leaf
+        out = restrict(strategy, tree, piece)
+        assert sys.getrecursionlimit() == default_recursion_limit
+        full, sub = leaf_depths(strategy), leaf_depths(out)
+        drops = uninformative_ancestor_counts(strategy, piece)
+        assert all(sub[x] == full[x] - drops[x] for x in piece.nodes)
