@@ -144,11 +144,51 @@ class Leaf:
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Query:
+    """A query node. Equality, hashing and repr walk the strategy with an
+    explicit stack, so they work on strategies taller than the recursion
+    limit; they agree with what the dataclass would generate (value
+    equality, equal hashes for equal trees, the same repr text)."""
+
     query: int
     no: Optional["DecisionNode"]   # NO branch: marked node outside T_query
     yes: Optional["DecisionNode"]  # YES branch: marked node inside T_query
+
+    def _preorder(self) -> list:
+        """Query ids and the other nodes (leaves, None) in preorder. Every
+        query has two children, so this list determines the tree."""
+        out = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Query:
+                out.append(node.query)
+                stack += (node.yes, node.no)
+            else:
+                out.append(node)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        out = []
+        stack: list = [self]  # nodes to print, and text already formatted
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+            elif item.__class__ is Query:
+                stack += (")", item.yes, ", yes=", item.no, f"Query(query={item.query!r}, no=")
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 DecisionNode = Union[Leaf, Query]

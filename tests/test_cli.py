@@ -8,7 +8,7 @@ import pytest
 
 from treesearch import InputTree, format_instance, parse_decision_tree, parse_instance
 from treesearch.cli import main
-from treesearch.gen import random_tree, seeded_weights, star_tree
+from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -168,7 +168,9 @@ class TestTallStrategies:
         (star_tree(10_000, seeded_weights(10_000, 3)), "diam3", 9999),
         (InputTree([-1, 0] + [0] * 600 + [1] * 600, seeded_weights(1202, 4)), "diam3", None),
         (_spider([2, 2] + [1] * 1495), "greedy", 1497),
-    ], ids=["star-10000", "double-star-1202", "spider-1500"])
+        (path_tree(10_000, seeded_weights(10_000, 5)), "greedy", None),
+        (random_tree(10_000, 6), "greedy", None),
+    ], ids=["star-10000", "double-star-1202", "spider-1500", "path-10000", "random-10000"])
     def test_solve_eval_round_trip(self, tmp_path, tree, alg, height):
         inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
         inst.write_text(format_instance(tree))

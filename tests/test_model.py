@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -16,6 +17,7 @@ from treesearch import (
     leaf_depths,
     left_delete,
     opt_cost,
+    parse_decision_tree,
     restrict,
     right_delete,
     uninformative_ancestor_counts,
@@ -147,6 +149,48 @@ class TestDeletions:
         assert sys.getrecursionlimit() == default_recursion_limit
         depths = leaf_depths(out)
         assert len(depths) == tree.n - 1 and depths[tree.root] == 1499
+
+
+@dataclass(frozen=True)
+class _DataclassQuery:
+    """``Query`` as a plain frozen dataclass, whose generated dunders recurse."""
+
+    query: int
+    no: object
+    yes: object
+
+
+def _as_dataclass(node):
+    if isinstance(node, Query):
+        return _DataclassQuery(node.query, _as_dataclass(node.no), _as_dataclass(node.yes))
+    return node
+
+
+class TestQueryDunders:
+    def test_match_dataclass_on_small_strategies(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            t = random_tree(rng.randint(1, 25), rng.randrange(10**6), (0, 3))
+            a = greedy(t)
+            b = parse_decision_tree(format_decision_tree(a))
+            assert a == b and hash(a) == hash(b) and a is not b
+            assert repr(a) == repr(_as_dataclass(a)).replace("_DataclassQuery", "Query")
+            other = greedy(random_tree(t.n, rng.randrange(10**6), (0, 3)))
+            assert (a == other) == (_as_dataclass(a) == _as_dataclass(other))
+        assert Query(1, None, Leaf(2)) == Query(1, None, Leaf(2)) != Query(1, Leaf(2), None)
+        assert Query(1, Leaf(0), Leaf(1)) != Leaf(1)
+
+    def test_tall_star_strategy(self, star1500, default_recursion_limit):
+        _, strategy = star1500
+        copy = parse_decision_tree(format_decision_tree(strategy))
+        changed = right_delete(strategy, ["no"] * 1499)  # differs only at the bottom
+        assert strategy == copy and strategy != changed and changed != strategy
+        assert hash(strategy) == hash(copy) and copy in {strategy}
+        text = repr(strategy)
+        assert text == repr(copy) != repr(changed)
+        assert text.startswith("Query(query=") and text.count("Query(") == 1500
+        assert text.count("Leaf(node=") == 1501
+        assert sys.getrecursionlimit() == default_recursion_limit
 
 
 class TestNodePiece:
