@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
 from .model import DecisionNode, Diagnostics, InputTree, Leaf, Query, build_decision_tree, cost as dt_cost
 
@@ -420,18 +421,38 @@ def search_tree_to_est(root: DecisionNode, tree: InputTree) -> ESTNode:
 
 def deep_cost_bound(tree: InputTree, height: int) -> int:
     """Lower bound on the cost of every search tree of height >= ``height``:
-    w(T) + sum over s = 2..height of S(s), S(s) the sum of the s smallest
-    weights.
+    the larger of a path bound and TH(height).
 
-    Such a tree has a root-to-leaf path of at least ``height`` queries. The
-    piece at depth 0 on it is T, and the piece at depth k >= 1 still needs
-    height - k more queries, so it has at least height - k + 1 nodes (a piece
-    of p nodes is resolved within p - 1 queries) and weighs at least
-    S(height - k + 1). A tree's cost is the sum of w(piece) over its
-    internal nodes, and weights are non-negative.
+    *Path bound*, w(T) + sum over s = 2..height of S(s), S(s) the sum of the
+    s smallest weights. Such a tree has a root-to-leaf path of at least
+    ``height`` queries. The piece at depth 0 on it is T, and the piece at
+    depth k >= 1 still needs height - k more queries, so it has at least
+    height - k + 1 nodes (a piece of p nodes is resolved within p - 1
+    queries) and weighs at least S(height - k + 1). A tree's cost is the sum
+    of w(piece) over its internal nodes, and weights are non-negative.
+
+    *Tall Huffman*, TH(height) = ``bounds.tall_huffman(weights, height)``,
+    the least sum of w * depth over full binary trees of height >= ``height``
+    whose leaves carry the n weights. A search tree is such a tree: every
+    query is informative, so both of its sides are non-empty, each node is
+    the label of exactly one leaf, and the cost is the sum of w(v) * depth
+    of v's leaf. Relabelling its leaves cannot make it cheaper than the
+    labelling that puts heavier weights on shallower leaves. For weights
+    w1 >= w2 on leaves at depths d1 > d2, swapping them changes the cost by
+    (w1 - w2) * (d2 - d1) <= 0, and repeated swaps reach the sorted
+    labelling. So the search tree costs at least the sorted labelling of its
+    own shape, which TH minimises over every shape of that height.
+
+    The path bound charges only the smallest weights, so it is weak when
+    weights differ; TH charges every weight at some depth. No search tree
+    is taller than n - 1; above that, the path bound alone is returned (the
+    claim is vacuous).
     """
     smallest = list(itertools.accumulate(sorted(tree.weight)))  # smallest[s-1] = S(s)
-    return tree.total_weight + sum(smallest[1:height])
+    path = tree.total_weight + sum(smallest[1:height])
+    if height >= tree.n:
+        return path
+    return max(path, tall_huffman(tree.weight, height))
 
 
 def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]]:
@@ -468,15 +489,17 @@ def optimal_bounded(
       D lifts to an EST of height <= B costing cost(D) + w(root)
       (``search_tree_to_est``), and the DP's EST, costing no more, converts
       to a search tree cheaper than itself by at least w(root);
-    * any search tree of height >= B has a root-to-leaf path of at least B
-      queries, on which the piece at depth 0 is T and the piece at depth
-      k >= 1 has at least B - k + 1 nodes; the cost of a tree is the sum of
-      w(piece) over its internal nodes, so it costs >= LB(B) >= c_B.
+    * any search tree of height >= B costs at least LB(B) >= c_B:
+      ``deep_cost_bound`` proves both of its bounds, the pieces along a
+      path of B queries and TH(B), the tall-Huffman cost of the weights.
 
     Weights are non-negative, so zero weights only weaken LB(B) and need no
-    special case. The DP's work grows like 3^B, so when no smaller budget
-    certifies, the runs below top together cost about half the run at top
-    (more at small n, where fixed costs dominate).
+    special case. TH(B) is a DP over the weights, O(n^4) at worst, so it is
+    evaluated only here, after the EST DP has run at B, and never for an
+    explicit ``budget`` or a budget refused by ``cap``. The DP's work grows
+    like 3^B, so when no smaller budget certifies, the runs below top
+    together cost about half the run at top (more at small n, where fixed
+    costs dominate).
     """
     deepen = range(0)
     if budget is None:

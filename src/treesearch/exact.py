@@ -1,11 +1,35 @@
-"""Brute-force optimal solver over candidate-set states.
+"""Exact optimal solver: branch and bound over candidate pieces.
 
-The memo maps each reachable candidate piece (an n-bit set) to its optimal
-cost and best first query; ties break toward the smallest query id so
-outputs are deterministic. The set of optimal first queries and the minimal
-height among optimal trees are read from the same memo. This is the
-ground-truth oracle for every approximation and DP test, not a production
-solver: it refuses instances above a configurable node limit.
+A piece is an n-bit set of the candidates still possible. Its optimal cost
+is w(piece) plus the least sum of the optimal costs of the two sides of one
+of its splits (a query x in the piece other than its topmost node; YES is
+the part inside T_x). The oracle keeps two memos per piece: its exact cost
+once found, and the best lower bound proven so far, which starts at the
+Huffman cost of the piece's weights (``bounds.huffman``; a strategy is a
+full binary tree with one leaf per node). LB(piece) is the exact cost when
+known, else that bound.
+
+``_search(piece, ub)`` returns the optimal cost when it is below ``ub``,
+else a lower bound >= ``ub``. It tries the splits in ascending
+LB(yes) + LB(no) and stops once w(piece) plus that sum reaches the best cost
+found so far, since every later split costs at least as much. Each side is
+searched under the bound that would still let the split win. A piece that
+finds nothing under ``ub`` stores ``ub`` as its lower bound. The whole tree
+is searched under greedy's cost + 1, so the first search always succeeds.
+
+The pruned search finds costs, not the tie-break. Once a piece's cost c is
+known, the smallest optimal first query is the first split, by ascending
+id, whose two sides hit c - w(piece) exactly; each side is checked by a
+bounded search that stops as soon as it overshoots. ``opt_cost``'s
+strategy, ``optimal_first_queries`` and ``opt_cost_min_height`` all read
+splits this way, so they equal an exhaustive search with smallest-id
+tie-breaking. The search stays exponential where many splits have equal
+bounds, as NP-hardness demands even at diameter 4: on spiders with legs of
+two nodes and unit weights it still bounds about 17 thousand pieces at
+n = 21 and 107 thousand at n = 24. ``opt_cost_restricted_height`` is a
+separate exhaustive search over (piece, height) pairs. This is the
+ground-truth oracle for every approximation and DP test and refuses
+instances above a configurable node limit.
 """
 
 from __future__ import annotations
@@ -13,8 +37,10 @@ from __future__ import annotations
 import sys
 from typing import Iterator, Optional
 
+from .bounds import huffman
 from .errors import ResourceLimitError
-from .model import DecisionNode, InputTree, Leaf, Query
+from .greedy import greedy
+from .model import DecisionNode, InputTree, Leaf, Query, _bits, cost as dt_cost
 
 DEFAULT_LIMIT = 20
 
@@ -41,50 +67,98 @@ class _Oracle:
             )
         self.tree = tree
         self.sub = tree.subtree_mask
-        self.w = tree.weight
-        self.memo: dict[int, tuple[int, int]] = {}
+        self.exact: dict[int, int] = {}  # piece -> optimal cost
+        self.lower: dict[int, int] = {}  # piece -> proven lower bound, Huffman at first
+        self.first: dict[int, int] = {}  # piece -> smallest optimal first query
         self.heights: dict[int, int] = {}
         self.capped: dict[tuple[int, int], Optional[int]] = {}
         # Each search recurses through a chain of shrinking pieces, n deep at most.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
 
-    def solve(self, piece: int) -> tuple[int, int]:
-        memo = self.memo
-        hit = memo.get(piece)
-        if hit is not None:
-            return hit
+    def _lb(self, piece: int) -> int:
+        """LB(piece): its exact cost when known, else its best proven lower bound."""
+        c = self.exact.get(piece)
+        if c is not None:
+            return c
+        lb = self.lower.get(piece)
+        if lb is None:
+            w = self.tree.weight
+            lb = self.lower[piece] = huffman(w[v] for v in _bits(piece))
+        return lb
+
+    def _search(self, piece: int, ub: int) -> int:
+        """The optimal cost of ``piece`` when it is below ``ub``; otherwise
+        a lower bound on it that is >= ``ub``."""
         if piece & (piece - 1) == 0:
-            memo[piece] = (0, -1)
-            return memo[piece]
-        sub = self.sub
-        w = self.w
-        total = 0
-        m = piece
-        while m:
-            b = m & -m
-            total += w[b.bit_length() - 1]
-            m ^= b
-        best = None
-        best_x = -1
-        m = piece
-        while m:
-            b = m & -m
-            x = b.bit_length() - 1
-            m ^= b
-            inside = piece & sub[x]
-            if inside == piece:
-                continue  # x is the piece's topmost node; the query is uninformative
-            c = self.solve(inside)[0] + self.solve(piece ^ inside)[0]
-            if best is None or c < best:
-                best, best_x = c, x
-        memo[piece] = (total + best, best_x)
-        return memo[piece]
+            return 0
+        c = self.exact.get(piece)
+        if c is not None:
+            return c
+        lb = self._lb(piece)
+        if lb >= ub:
+            return lb
+        total = self.tree.mask_weight(piece)
+        order = sorted((self._lb(inside) + self._lb(piece ^ inside), inside)
+                       for _, inside in _splits(self.tree, piece))
+        best = ub - total  # the two sides must cost less than this together
+        found = False
+        for bound, inside in order:
+            if bound >= best:
+                break  # this split and every later one cost >= best
+            outside = piece ^ inside
+            cap = best - self._lb(outside)
+            a = self._search(inside, cap)
+            if a >= cap:
+                continue
+            b = self._search(outside, best - a)
+            if a + b < best:
+                best = a + b
+                found = True
+        if found:
+            self.exact[piece] = total + best
+            return total + best
+        self.lower[piece] = ub
+        return ub
+
+    def _hits(self, piece: int, inside: int, target: int) -> bool:
+        """Whether the split of ``piece`` into ``inside`` and the rest has
+        optimal sides costing exactly ``target`` together, given that no
+        split costs less."""
+        outside = piece ^ inside
+        cap = target - self._lb(outside)
+        a = self._search(inside, cap + 1)
+        return a <= cap and self._search(outside, target - a + 1) == target - a
+
+    def cost(self, piece: int) -> int:
+        """Optimal cost of ``piece``, searched under a known strategy's cost + 1:
+        greedy's on the whole tree, else w(piece) * (|piece| - 1), since no
+        leaf of a strategy is deeper than |piece| - 1."""
+        c = self.exact.get(piece)
+        if c is not None:
+            return c
+        if piece == self.tree.full_mask():
+            upper = dt_cost(greedy(self.tree), self.tree, check=False)
+        else:
+            upper = self.tree.mask_weight(piece) * (bin(piece).count("1") - 1)
+        return self._search(piece, upper + 1)
+
+    def solve(self, piece: int) -> tuple[int, int]:
+        """(optimal cost, smallest optimal first query) of ``piece``; the
+        query is -1 on a single node."""
+        if piece & (piece - 1) == 0:
+            return 0, -1
+        c = self.cost(piece)
+        x = self.first.get(piece)
+        if x is None:
+            target = c - self.tree.mask_weight(piece)
+            x = self.first[piece] = next(
+                x for x, inside in _splits(self.tree, piece) if self._hits(piece, inside, target))
+        return c, x
 
     def argmins(self, piece: int) -> list[int]:
         """Every optimal first query on ``piece``, by ascending id."""
-        below = self.solve(piece)[0] - self.tree.mask_weight(piece)  # both sides' optimal cost
-        return [x for x, inside in _splits(self.tree, piece)
-                if self.solve(inside)[0] + self.solve(piece ^ inside)[0] == below]
+        target = self.cost(piece) - self.tree.mask_weight(piece)  # both sides' optimal cost
+        return [x for x, inside in _splits(self.tree, piece) if self._hits(piece, inside, target)]
 
     def min_height(self, piece: int) -> int:
         """Smallest height among the optimal decision trees of ``piece``.
@@ -124,7 +198,7 @@ class _Oracle:
         return self.capped[key]
 
     def build(self, piece: int) -> DecisionNode:
-        _, x = self.memo[piece]
+        _, x = self.solve(piece)
         if x < 0:
             return Leaf(piece.bit_length() - 1)
         inside = piece & self.sub[x]
@@ -139,8 +213,7 @@ def opt_cost(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, Decision
     """
     oracle = _Oracle(tree, limit)
     full = tree.full_mask()
-    c, _ = oracle.solve(full)
-    return c, oracle.build(full)
+    return oracle.cost(full), oracle.build(full)
 
 
 def opt_cost_restricted_height(tree: InputTree, height: int, limit: int = DEFAULT_LIMIT) -> Optional[int]:

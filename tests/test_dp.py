@@ -28,10 +28,18 @@ from treesearch import (
     validate_est,
 )
 from treesearch import bounded_dp
+from treesearch.bounds import huffman, tall_huffman
 from treesearch.bounded_dp import forest_mask
-from treesearch.gen import all_tree_shapes, random_tree
+from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, seeded_weights, unit_weights
 
 U, B = UNASSIGNED, BLOCKED
+
+
+def _path_bound(tree, height):
+    """The certificate before tall Huffman: w(T) + sum over s = 2..height of
+    the s smallest weights."""
+    smallest = list(itertools.accumulate(sorted(tree.weight)))
+    return tree.total_weight + sum(smallest[1:height])
 
 
 def all_plps(max_len):
@@ -215,19 +223,96 @@ class TestOptimalBounded:
 
 class TestDeepening:
     def test_deep_cost_bound_is_sound(self):
-        # Every search tree of height h >= B costs at least LB(B); zero
-        # weights included.
+        # Every search tree of height h >= B costs at least LB(B), and at
+        # least each of its bounds on its own: Huffman, and tall Huffman at
+        # every height up to h. Zero weights included.
         rng = random.Random(17)
         checked = 0
         for n in range(1, 7):
             for parents in all_tree_shapes(n):
                 t = InputTree(parents, [rng.choice([0, 0, 1, 2, 9]) for _ in range(n)])
+                hf = huffman(t.weight)
+                for short in range(0, (n - 1).bit_length() + 1):  # ceil(log2 n)
+                    assert tall_huffman(t.weight, short) == hf, (t.weight, short)
                 for strategy in enumerate_decision_trees(t):
                     c, h = cost(strategy, t), tree_height(strategy)
-                    for budget in range(1, h + 1):
-                        assert c >= deep_cost_bound(t, budget), (parents, t.weight, budget)
+                    assert c >= hf, (parents, t.weight)
+                    for budget in range(0, h + 1):
+                        assert c >= tall_huffman(t.weight, budget), (parents, t.weight, budget)
+                        if budget:
+                            assert c >= deep_cost_bound(t, budget), (parents, t.weight, budget)
                         checked += 1
         assert checked > 1000
+
+    def test_tall_huffman_is_tight(self):
+        # TH(B) is attained: the least cost over every labelled full binary
+        # tree of height >= B, found by brute force over depth profiles.
+        def profiles(leaves):
+            if leaves == 1:
+                return {(0,)}
+            return {tuple(sorted(d + 1 for d in a + b))
+                    for k in range(1, leaves)
+                    for a in profiles(k) for b in profiles(leaves - k)}
+
+        rng = random.Random(19)
+        for n in range(1, 7):
+            shapes = profiles(n)
+            for _ in range(6):
+                w = [rng.choice([0, 0, 1, 3, 10, 100]) for _ in range(n)]
+                for height in range(0, n):
+                    best = min(min(sum(x * d for x, d in zip(order, depths))
+                                   for order in itertools.permutations(w))
+                               for depths in shapes if max(depths) >= height)
+                    assert tall_huffman(w, height) == best, (w, height)
+        with pytest.raises(ValueError):
+            tall_huffman([1, 1, 1], 3)
+
+    def test_certificate_stops_no_later_than_path_bound(self, monkeypatch):
+        # On criterion 1's instances (every shape with n <= 9; unit, seeded
+        # and one-heavy weights), the path bound w(T) + sum S(s) alone would
+        # certify none of the budgets the default DP passed over, so it would
+        # stop no earlier. The DP's runs are cached so that re-reading them
+        # costs nothing.
+        runs = {}
+        solve = bounded_dp.solve_pb
+
+        def recording(tree, forest, plp, budget):
+            if budget not in runs:
+                runs[budget] = solve(tree, forest, plp, budget)
+            return runs[budget]
+
+        monkeypatch.setattr(bounded_dp, "solve_pb", recording)
+        earlier = 0
+        for n in range(1, 10):
+            for shape_idx, parents in enumerate(all_tree_shapes(n)):
+                for w in (unit_weights(n), seeded_weights(n, 1000 * n + shape_idx, 10), one_heavy_weights(n)):
+                    t = InputTree(parents, w)
+                    runs.clear()
+                    optimal_bounded(t)
+                    stop = max(runs)
+                    for b in sorted(runs)[:-1]:
+                        found = bounded_dp._solve_at(t, b)
+                        assert found is None or found[0] > _path_bound(t, b), (parents, w, b)
+                    if stop < min(height_bound(t), n) and bounded_dp._solve_at(t, stop)[0] > _path_bound(t, stop):
+                        earlier += 1
+        assert earlier > 1000  # 1195 of the 1458 instances
+
+    def test_certificate_stops_earlier_on_pinned_instance(self, monkeypatch):
+        budgets = []
+        solve = bounded_dp.solve_pb
+
+        def recording(tree, forest, plp, budget):
+            budgets.append(budget)
+            return solve(tree, forest, plp, budget)
+
+        monkeypatch.setattr(bounded_dp, "solve_pb", recording)
+        t = InputTree([-1, 0, 1, 2, 3, 3, 1, 6, 7], [6, 4, 8, 8, 3, 5, 10, 9, 3])
+        c = optimal_bounded(t)[0]
+        assert budgets == [5, 6]
+        budgets.clear()
+        monkeypatch.setattr(bounded_dp, "deep_cost_bound", _path_bound)
+        assert optimal_bounded(t)[0] == c == opt_cost(t)[0]
+        assert budgets == [5, 6, 7, 8]
 
     def test_default_matches_oracle_through_both_exits(self, monkeypatch):
         # Zero and skewed weights weaken the bound until the DP falls back to

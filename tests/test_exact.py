@@ -4,11 +4,13 @@ import pytest
 
 from treesearch import (
     InputTree,
+    Leaf,
     NodePiece,
     Query,
     ResourceLimitError,
     cost,
     enumerate_decision_trees,
+    format_decision_tree,
     opt_cost,
     opt_cost_min_height,
     opt_cost_restricted_height,
@@ -16,8 +18,89 @@ from treesearch import (
     tree_height,
     validate,
 )
-from treesearch.exact import _Oracle
-from treesearch.gen import all_tree_shapes, random_tree
+from treesearch.exact import _Oracle, _splits
+from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
+
+
+def _reference_oracle(tree):
+    """The exhaustive oracle: every split of every reachable piece is
+    expanded, and ties break toward the smallest query id. Returns (cost,
+    strategy text, optimal first queries, least height among optimal
+    strategies); the branch-and-bound oracle must give the same four."""
+    sub = tree.subtree_mask
+    memo = {}
+    heights = {}
+
+    def solve(piece):
+        hit = memo.get(piece)
+        if hit is not None:
+            return hit
+        if piece & (piece - 1) == 0:
+            memo[piece] = (0, -1)
+            return memo[piece]
+        best = None
+        best_x = -1
+        for x, inside in _splits(tree, piece):
+            c = solve(inside)[0] + solve(piece ^ inside)[0]
+            if best is None or c < best:
+                best, best_x = c, x
+        memo[piece] = (tree.mask_weight(piece) + best, best_x)
+        return memo[piece]
+
+    def argmins(piece):
+        below = solve(piece)[0] - tree.mask_weight(piece)
+        return [x for x, inside in _splits(tree, piece)
+                if solve(inside)[0] + solve(piece ^ inside)[0] == below]
+
+    def min_height(piece):
+        h = heights.get(piece)
+        if h is None:
+            h = 0 if piece & (piece - 1) == 0 else 1 + min(
+                max(min_height(piece & sub[x]), min_height(piece & ~sub[x]))
+                for x in argmins(piece))
+            heights[piece] = h
+        return h
+
+    def build(piece):
+        _, x = memo[piece]
+        if x < 0:
+            return Leaf(piece.bit_length() - 1)
+        inside = piece & sub[x]
+        return Query(x, build(piece ^ inside), build(inside))
+
+    full = tree.full_mask()
+    c, _ = solve(full)
+    return c, format_decision_tree(build(full)), frozenset(argmins(full)), min_height(full)
+
+
+def _oracle_answers(tree):
+    c, strategy = opt_cost(tree)
+    c2, h = opt_cost_min_height(tree)
+    assert c2 == c
+    return c, format_decision_tree(strategy), optimal_first_queries(tree), h
+
+
+def _relabelled(parents, weights, rng):
+    """The same tree with node ids shuffled, so that ties meet arbitrary ids."""
+    perm = list(range(len(parents)))
+    rng.shuffle(perm)
+    parent, weight = [0] * len(parents), [0] * len(parents)
+    for v, p in enumerate(parents):
+        parent[perm[v]] = -1 if p == -1 else perm[p]
+        weight[perm[v]] = weights[v]
+    return InputTree(parent, weight)
+
+
+def _shape(kind, n, rng):
+    if kind == "random":
+        return list(random_tree(n, rng.randrange(10**6)).parent)
+    if kind == "path":
+        return [-1] + list(range(n - 1))
+    if kind == "caterpillar":  # a spine of about n/3 nodes, the rest hang off it
+        spine = max(1, n // 3)
+        return [-1] + list(range(spine - 1)) + [rng.randrange(spine) for _ in range(n - spine)]
+    # A spider with legs of two nodes: diameter 4, the paper's hard class.
+    return [-1] + [v - 1 if v % 2 == 0 else 0 for v in range(1, n)]
 
 
 def test_path_unit(path3):
@@ -128,3 +211,30 @@ def test_deterministic_tie_breaking(path3):
     assert optimal_first_queries(path3) == frozenset({1, 2})
     _, strategy = opt_cost(path3)
     assert strategy.query == 1
+
+
+def test_matches_reference_on_every_small_shape():
+    # Every shape with n <= 9; unit, seeded 0..3 (zeros included) and
+    # one-heavy weights.
+    rng = random.Random(21)
+    checked = 0
+    for n in range(1, 10):
+        for parents in all_tree_shapes(n):
+            for w in (unit_weights(n), [rng.randint(0, 3) for _ in range(n)], one_heavy_weights(n)):
+                t = InputTree(parents, w)
+                assert _oracle_answers(t) == _reference_oracle(t), (parents, w)
+                checked += 1
+    assert checked == 1458
+
+
+@pytest.mark.parametrize("kind", ["random", "path", "caterpillar", "spider"])
+def test_matches_reference_on_seeded_trees(kind):
+    # Seeded trees up to n = 20 with shuffled ids; the unit-weight spider is
+    # the diameter-4 class on which the search stays exponential.
+    rng = random.Random(22)
+    for n in (11, 14, 17, 20):
+        parents = _shape(kind, n, rng)
+        for w in ([1] * n, [rng.randint(0, 3) for _ in range(n)]):
+            t = _relabelled(parents, w, rng)
+            assert _oracle_answers(t) == _reference_oracle(t), (t.parent, t.weight)
+
