@@ -63,14 +63,14 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _parse_height(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
-        height = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad height {text!r}; expected an integer") from None
-    if height < 0:
-        raise argparse.ArgumentTypeError("height must be non-negative")
-    return height
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; must be non-negative")
+    return value
 
 
 def _parse_weight_range(text: str) -> tuple[int, int]:
@@ -231,9 +231,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("input")
     sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
     sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
-    sp.add_argument("--height", type=_parse_height, default=None, help="explicit EST height budget for dp")
-    sp.add_argument("--limit", type=int, default=exact.DEFAULT_LIMIT, help="exact-solver node cap")
-    sp.add_argument("--cap", type=int, default=DEFAULT_HEIGHT_CAP, help="dp height-budget cap")
+    sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
+    sp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT,
+                    help="exact-solver node cap")
+    sp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP, help="dp height-budget cap")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 
@@ -265,8 +266,8 @@ def _build_parser() -> _Parser:
     bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
     bp.add_argument("suite")
     bp.add_argument("--eps", type=_parse_eps, default=Fraction(1, 2))
-    bp.add_argument("--limit", type=int, default=exact.DEFAULT_LIMIT)
-    bp.add_argument("--cap", type=int, default=DEFAULT_HEIGHT_CAP)
+    bp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT)
+    bp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP)
     bp.add_argument("--json", default=None, help="also write a structured report")
     bp.set_defaults(func=cmd_bench, height=None)  # _run's dp then picks its own budget
     return p

@@ -7,9 +7,9 @@ exchange argument gives optimality in O(n log n).
 Diameter 3: two adjacent centers r, r' with every other node a leaf on one
 of them. The root of an optimal strategy queries the edge between the
 centers, the heaviest remaining r-leaf, or the heaviest remaining r'-leaf,
-so a dynamic program over (heaviest-leaves-removed-from-r,
-heaviest-leaves-removed-from-r') counts O(n^2) states; querying the center
-edge leaves two stars.
+and querying the center edge leaves two stars. Some optimum isolates a
+heaviest-first prefix of both centers' leaves merged, so one scan over the
+A + B + 1 stopping points finds it in O(n log n) (see ``solve_diam3``).
 
 Both solvers work on the unrooted structure; queries are encoded against the
 instance's rooting (an edge is queried by its child endpoint).
@@ -32,12 +32,12 @@ def _adjacency(tree: InputTree) -> list[list[int]]:
     return adj
 
 
-def _farthest(adj, start: int) -> tuple[int, int, list[int]]:
+def _farthest(adj, start: int) -> tuple[int, list[int]]:
+    """A node farthest from ``start`` and the BFS predecessor of every node."""
     prev = [-1] * len(adj)
     prev[start] = start
     frontier = [start]
-    last, dist = start, 0
-    d = 0
+    last = start
     while frontier:
         nxt = []
         for u in frontier:
@@ -46,30 +46,24 @@ def _farthest(adj, start: int) -> tuple[int, int, list[int]]:
                     prev[v] = u
                     nxt.append(v)
         if nxt:
-            d += 1
-            last, dist = nxt[0], d
+            last = nxt[0]
         frontier = nxt
-    return last, dist, prev
+    return last, prev
 
 
-def tree_diameter(tree: InputTree) -> int:
-    """Diameter of the unrooted tree (longest path, in edges)."""
-    if tree.n == 1:
-        return 0
-    adj = _adjacency(tree)
-    a, _, _ = _farthest(adj, 0)
-    _, d, _ = _farthest(adj, a)
-    return d
-
-
-def _diameter_path(tree: InputTree) -> list[int]:
-    adj = _adjacency(tree)
-    a, _, _ = _farthest(adj, 0)
-    b, _, prev = _farthest(adj, a)
+def _diameter_path(adj) -> list[int]:
+    """The nodes of one longest path, end to end."""
+    a, _ = _farthest(adj, 0)
+    b, prev = _farthest(adj, a)
     path = [b]
     while path[-1] != a:
         path.append(prev[path[-1]])
     return path
+
+
+def tree_diameter(tree: InputTree) -> int:
+    """Diameter of the unrooted tree (longest path, in edges)."""
+    return len(_diameter_path(_adjacency(tree))) - 1
 
 
 def _isolating_query(tree: InputTree, center: int, x: int, rest: DecisionNode) -> DecisionNode:
@@ -92,96 +86,85 @@ def _star_cost(tree: InputTree, center: int, leaves: list[int]) -> int:
     return total + len(leaves) * tree.weight[center]
 
 
-def solve_star(tree: InputTree) -> tuple[int, DecisionNode]:
-    """Exact optimum for diameter <= 2: isolate nodes in decreasing weight."""
-    if tree.n == 1:
-        return 0, Leaf(tree.root)
-    if tree_diameter(tree) > 2:
-        raise InvalidInstanceError("solve_star requires diameter <= 2")
-    adj = _adjacency(tree)
-    degrees = [len(a) for a in adj]
-    center = max(range(tree.n), key=lambda v: (degrees[v], -v))
+def _star(tree: InputTree, adj) -> tuple[int, DecisionNode]:
+    center = max(range(tree.n), key=lambda v: (len(adj[v]), -v))
     others = sorted((v for v in range(tree.n) if v != center),
                     key=lambda v: (-tree.weight[v], v))
-    strategy = _sequential_star(tree, center, others)
-    return _star_cost(tree, center, others), strategy
+    return _star_cost(tree, center, others), _sequential_star(tree, center, others)
+
+
+def solve_star(tree: InputTree) -> tuple[int, DecisionNode]:
+    """Exact optimum for diameter <= 2: isolate nodes in decreasing weight."""
+    adj = _adjacency(tree)
+    if len(_diameter_path(adj)) > 3:
+        raise InvalidInstanceError("solve_star requires diameter <= 2")
+    return _star(tree, adj)
 
 
 def solve_diam3(tree: InputTree, stats: Optional[dict] = None) -> tuple[int, DecisionNode]:
-    """Exact optimum for diameter <= 3 by the two-center dynamic program.
+    """Exact optimum for diameter <= 3 by one scan over the merged leaf list.
 
-    ``stats``, when given, receives {"states": <number of DP states evaluated>}.
+    Let r < r' be the two centers. By the root rule in the module docstring,
+    an optimal strategy isolates a heaviest-first run of each center's
+    leaves, one query per leaf, and then queries the center edge, after
+    which each side is a star. Some optimum isolates the first k leaves of
+    ``merged``: the leaves of both centers, heaviest first, equal weights
+    across the two sides to r, each side in its (-weight, id) order.
+
+    1. Order. For a fixed set of isolated leaves, heaviest first is optimal:
+       swapping two adjacent isolations u, v changes only the piece between
+       them, by w(u) - w(v).
+    2. Set. Suppose the isolated set is not the k heaviest leaves. Let x be
+       the lightest isolated leaf, say on r', and y the heaviest one not
+       isolated. Each side isolates a heaviest-first prefix, so y is on r
+       and w(x) < w(y), and by 1 x is isolated last. Splitting one query
+       earlier instead moves x one level down and every node of the
+       remaining r-side star, y and r included, one level up; the r'-side
+       depths do not change. The cost changes by w(x) - w(R_r) <=
+       w(x) - w(y) < 0. With ties the change is <= 0.
+
+    So the only choice is k, and the scan keeps running sums of the cost of
+    the first k isolations, the weight of each center's remaining star and
+    the cost of both stars. The first k of least cost wins.
+
+    ``stats``, when given, receives {"states": <stopping points scanned>},
+    which is A + B + 1 for A and B leaves on the two centers (n on a star).
     """
-    diam = tree_diameter(tree)
-    if diam > 3:
+    adj = _adjacency(tree)
+    path = _diameter_path(adj)
+    if len(path) > 4:
         raise InvalidInstanceError("solve_diam3 requires diameter <= 3")
-    if diam <= 2:
-        c, strategy = solve_star(tree)
+    if len(path) <= 3:
         if stats is not None:
             stats["states"] = tree.n
-        return c, strategy
+        return _star(tree, adj)
 
-    path = _diameter_path(tree)  # 4 nodes: leaf, center, center, leaf
-    c1, c2 = path[1], path[2]
-    r, rp = (c1, c2) if c1 < c2 else (c2, c1)
+    centers = sorted(path[1:3])  # path is leaf, center, center, leaf
     w = tree.weight
-    adj = _adjacency(tree)
-    r_leaves = sorted((v for v in adj[r] if v != rp), key=lambda v: (-w[v], v))
-    rp_leaves = sorted((v for v in adj[rp] if v != r), key=lambda v: (-w[v], v))
+    merged = sorted(((s, x) for s in (0, 1) for x in adj[centers[s]] if x != centers[1 - s]),
+                    key=lambda sx: (-w[sx[1]], sx[0], sx[1]))
+    sides = [[x for s, x in merged if s == side] for side in (0, 1)]
+    rest = [w[c] + sum(w[x] for x in leaves) for c, leaves in zip(centers, sides)]
+    stars = sum(_star_cost(tree, c, leaves) for c, leaves in zip(centers, sides))
+    spent = 0  # cost of the isolations so far: one level over each piece they split
+    total, k = rest[0] + rest[1] + stars, 0
+    for i, (s, x) in enumerate(merged, 1):
+        spent += rest[0] + rest[1]
+        stars -= rest[s]  # the star of side s loses its top level
+        rest[s] -= w[x]
+        c = spent + rest[0] + rest[1] + stars
+        if c < total:
+            total, k = c, i
 
-    def sides(center: int, leaves: list[int]) -> tuple[list[int], list[int]]:
-        """Weight and sequential cost of the star piece of ``center`` that
-        remains after isolating its a heaviest leaves, for each a."""
-        weight = [w[center]] * (len(leaves) + 1)
-        star = [0] * (len(leaves) + 1)
-        for a in range(len(leaves) - 1, -1, -1):
-            weight[a] = weight[a + 1] + w[leaves[a]]
-            star[a] = star[a + 1] + weight[a]  # one more level over the whole piece
-        return weight, star
-
-    r_w, r_star = sides(r, r_leaves)
-    rp_w, rp_star = sides(rp, rp_leaves)
-
-    # Bottom-up table over (a, b) = heaviest leaves already isolated from
-    # (r, r'), rows a = A..0 with b = B..0 inside each. The root of the piece
-    # queries the center edge ("split", 0), the next r-leaf (1) or the next
-    # r'-leaf (2); ties keep the earlier choice.
-    A, B = len(r_leaves), len(rp_leaves)
-    below: list[int] = []  # costs of row a + 1
-    choices: list[bytearray] = [bytearray()] * (A + 1)
-    for a in range(A, -1, -1):
-        row = [0] * (B + 1)
-        pick = bytearray(B + 1)
-        for b in range(B, -1, -1):
-            piece_w = r_w[a] + rp_w[b]
-            best = piece_w + r_star[a] + rp_star[b]
-            if a < A and piece_w + below[b] < best:
-                best, pick[b] = piece_w + below[b], 1
-            if b < B and piece_w + row[b + 1] < best:
-                best, pick[b] = piece_w + row[b + 1], 2
-            row[b] = best
-        below, choices[a] = row, pick
-    total = below[0]
-
-    # Walk the choices from (0, 0) to the split, then wrap the split in the
-    # isolating queries from the bottom up.
-    a = b = 0
-    isolated = []
-    while choices[a][b]:
-        if choices[a][b] == 1:
-            isolated.append((r, r_leaves[a]))
-            a += 1
-        else:
-            isolated.append((rp, rp_leaves[b]))
-            b += 1
-    r_side = _sequential_star(tree, r, r_leaves[a:])
-    rp_side = _sequential_star(tree, rp, rp_leaves[b:])
+    r, rp = centers
+    r_side = _sequential_star(tree, r, [x for s, x in merged[k:] if s == 0])
+    rp_side = _sequential_star(tree, rp, [x for s, x in merged[k:] if s == 1])
     if tree.parent[rp] == r:
         strategy = Query(rp, no=r_side, yes=rp_side)
     else:
         strategy = Query(r, no=rp_side, yes=r_side)
-    for center, x in reversed(isolated):
-        strategy = _isolating_query(tree, center, x, strategy)
+    for s, x in reversed(merged[:k]):
+        strategy = _isolating_query(tree, centers[s], x, strategy)
     if stats is not None:
-        stats["states"] = (A + 1) * (B + 1)
+        stats["states"] = len(merged) + 1
     return total, strategy

@@ -106,8 +106,13 @@ class TestSolve:
         ["gen", "path", "3", "--weights", "5..3"],
         ["gen", "random", "3", "--weights=-1..3"],
         ["solve", "x.txt", "--height", "-1"],
+        ["solve", "x.txt", "--limit", "-1"],
+        ["solve", "x.txt", "--cap", "-1"],
+        ["bench", "suite", "--limit", "-1"],
+        ["bench", "suite", "--cap", "-1"],
     ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative",
-            "height-negative"])
+            "height-negative", "limit-negative", "cap-negative", "bench-limit-negative",
+            "bench-cap-negative"])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -164,16 +169,19 @@ def _cli(*argv):
 
 
 class TestTallStrategies:
-    @pytest.mark.parametrize("tree, alg, height", [
-        (star_tree(10_000, seeded_weights(10_000, 3)), "diam3", 9999),
-        (InputTree([-1, 0] + [0] * 600 + [1] * 600, seeded_weights(1202, 4)), "diam3", None),
-        (_spider([2, 2] + [1] * 1495), "greedy", 1497),
-        (path_tree(10_000, seeded_weights(10_000, 5)), "greedy", None),
-        (random_tree(10_000, 6), "greedy", None),
-    ], ids=["star-10000", "double-star-1202", "spider-1500", "path-10000", "random-10000"])
-    def test_solve_eval_round_trip(self, tmp_path, tree, alg, height):
+    @pytest.mark.parametrize("make, alg, height", [
+        (lambda: star_tree(10_000, seeded_weights(10_000, 3)), "diam3", 9999),
+        (lambda: InputTree([-1, 0] + [0] * 600 + [1] * 600, seeded_weights(1202, 4)), "diam3", None),
+        (lambda: _spider([2, 2] + [1] * 1495), "greedy", 1497),
+        (lambda: path_tree(10_000, seeded_weights(10_000, 5)), "greedy", None),
+        (lambda: random_tree(10_000, 6), "greedy", None),
+        (lambda: InputTree([-1, 0] + [0] * 49_999 + [1] * 49_999, seeded_weights(100_000, 7)),
+         "diam3", None),
+    ], ids=["star-10000", "double-star-1202", "spider-1500", "path-10000", "random-10000",
+            "double-star-100000"])
+    def test_solve_eval_round_trip(self, tmp_path, make, alg, height):
         inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
-        inst.write_text(format_instance(tree))
+        inst.write_text(format_instance(make()))
         solved = _cli("solve", str(inst), "--out", str(out))
         assert solved.returncode == 0, solved.stderr
         lines = solved.stdout.splitlines()

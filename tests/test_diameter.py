@@ -5,13 +5,16 @@ import pytest
 from treesearch import (
     InputTree,
     InvalidInstanceError,
+    Query,
     cost,
+    format_decision_tree,
     opt_cost,
     solve_diam3,
     solve_star,
     tree_diameter,
     validate,
 )
+from treesearch.diameter import _adjacency, _diameter_path, _isolating_query, _sequential_star
 from treesearch.gen import path_tree, star_tree
 
 
@@ -96,11 +99,155 @@ def test_diam3_rooted_at_outer_leaf():
     assert c == opt_cost(t)[0]
 
 
-def test_quadratic_state_growth():
+def test_states_are_stopping_points():
     rng = random.Random(20)
     for n in (10, 50, 120, 200):
         i = (n - 2) // 2
         t = double_broom(i, n - 2 - i, [rng.randint(1, 50) for _ in range(n)])
         stats = {}
         solve_diam3(t, stats)
-        assert stats["states"] <= n * n  # measured c = 1/4; generous headroom
+        assert stats["states"] == i + (n - 2 - i) + 1
+    stats = {}
+    solve_diam3(star_tree(7), stats)
+    assert stats["states"] == 7
+
+
+def _reference_diam3(tree):
+    """The (A+1)(B+1) two-center table that ``solve_diam3`` replaced, kept as
+    its reference without the ``stats`` hook."""
+    diam = tree_diameter(tree)
+    if diam > 3:
+        raise InvalidInstanceError("solve_diam3 requires diameter <= 3")
+    if diam <= 2:
+        return solve_star(tree)
+
+    path = _diameter_path(_adjacency(tree))  # 4 nodes: leaf, center, center, leaf
+    c1, c2 = path[1], path[2]
+    r, rp = (c1, c2) if c1 < c2 else (c2, c1)
+    w = tree.weight
+    adj = _adjacency(tree)
+    r_leaves = sorted((v for v in adj[r] if v != rp), key=lambda v: (-w[v], v))
+    rp_leaves = sorted((v for v in adj[rp] if v != r), key=lambda v: (-w[v], v))
+
+    def sides(center, leaves):
+        """Weight and sequential cost of the star piece of ``center`` that
+        remains after isolating its a heaviest leaves, for each a."""
+        weight = [w[center]] * (len(leaves) + 1)
+        star = [0] * (len(leaves) + 1)
+        for a in range(len(leaves) - 1, -1, -1):
+            weight[a] = weight[a + 1] + w[leaves[a]]
+            star[a] = star[a + 1] + weight[a]  # one more level over the whole piece
+        return weight, star
+
+    r_w, r_star = sides(r, r_leaves)
+    rp_w, rp_star = sides(rp, rp_leaves)
+
+    # Bottom-up table over (a, b) = heaviest leaves already isolated from
+    # (r, r'), rows a = A..0 with b = B..0 inside each. The root of the piece
+    # queries the center edge ("split", 0), the next r-leaf (1) or the next
+    # r'-leaf (2); ties keep the earlier choice.
+    A, B = len(r_leaves), len(rp_leaves)
+    below = []  # costs of row a + 1
+    choices = [bytearray()] * (A + 1)
+    for a in range(A, -1, -1):
+        row = [0] * (B + 1)
+        pick = bytearray(B + 1)
+        for b in range(B, -1, -1):
+            piece_w = r_w[a] + rp_w[b]
+            best = piece_w + r_star[a] + rp_star[b]
+            if a < A and piece_w + below[b] < best:
+                best, pick[b] = piece_w + below[b], 1
+            if b < B and piece_w + row[b + 1] < best:
+                best, pick[b] = piece_w + row[b + 1], 2
+            row[b] = best
+        below, choices[a] = row, pick
+    total = below[0]
+
+    # Walk the choices from (0, 0) to the split, then wrap the split in the
+    # isolating queries from the bottom up.
+    a = b = 0
+    isolated = []
+    while choices[a][b]:
+        if choices[a][b] == 1:
+            isolated.append((r, r_leaves[a]))
+            a += 1
+        else:
+            isolated.append((rp, rp_leaves[b]))
+            b += 1
+    r_side = _sequential_star(tree, r, r_leaves[a:])
+    rp_side = _sequential_star(tree, rp, rp_leaves[b:])
+    if tree.parent[rp] == r:
+        strategy = Query(rp, no=r_side, yes=rp_side)
+    else:
+        strategy = Query(r, no=rp_side, yes=r_side)
+    for center, x in reversed(isolated):
+        strategy = _isolating_query(tree, center, x, strategy)
+    return total, strategy
+
+
+def _rerooted(parents, weights, root):
+    """The same unrooted tree and weights, rooted at ``root``."""
+    adj = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p != -1:
+            adj[v].append(p)
+            adj[p].append(v)
+    new = [None] * len(parents)
+    new[root], stack = -1, [root]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if new[v] is None:
+                new[v] = u
+                stack.append(v)
+    return InputTree(new, weights)
+
+
+def _relabelled(parents, weights, rng):
+    """A random relabelling of the tree, rooted at a random node."""
+    n = len(parents)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    new_parents, new_weights = [0] * n, [0] * n
+    for v, p in enumerate(parents):
+        new_parents[perm[v]] = -1 if p == -1 else perm[p]
+        new_weights[perm[v]] = weights[v]
+    return _rerooted(new_parents, new_weights, rng.randrange(n))
+
+
+def _assert_same_as_reference(t):
+    c, strategy = solve_diam3(t)
+    ref_c, ref_strategy = _reference_diam3(t)
+    assert c == ref_c
+    assert format_decision_tree(strategy) == format_decision_tree(ref_strategy)
+
+
+def test_diam3_matches_reference_on_small_shapes():
+    rng = random.Random(21)
+    checked = 0
+    for n in range(1, 10):
+        shapes = [[-1] + [0] * (n - 1)]
+        if n >= 3:
+            shapes += [[-1, 0] + [0] * i + [1] * (n - 2 - i) for i in range(n - 1)]
+        for parents in shapes:
+            profiles = [[1] * n] + [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
+            for center in range(min(n, 2)):  # node 0, and node 1 of a double broom
+                w = [rng.randint(0, 3) for _ in range(n)]
+                w[center] = 10 ** 6
+                profiles.append(w)
+            for w in profiles:
+                for root in range(n):
+                    _assert_same_as_reference(_rerooted(parents, w, root))
+                    checked += 1
+    assert checked == 1697
+
+
+def test_diam3_matches_reference_on_relabelled_double_stars():
+    rng = random.Random(22)
+    for _ in range(450):
+        size = rng.choice([3, 12, 199])
+        a, b = rng.randint(0, size), rng.randint(0, size)
+        hi = rng.choice([0, 1, 3, 10, 1000])
+        n = a + b + 2
+        parents = [-1, 0] + [0] * a + [1] * b
+        _assert_same_as_reference(_relabelled(parents, [rng.randint(0, hi) for _ in range(n)], rng))
