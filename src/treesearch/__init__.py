@@ -79,6 +79,7 @@ from .reduction import (
     pi_names,
     pi_sequence,
     realization,
+    realization_cost,
     x3c_brute,
 )
 

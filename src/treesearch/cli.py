@@ -46,9 +46,20 @@ def _read(path: str) -> str:
         raise InvalidInstanceError(f"cannot read {path}: {e}") from None
 
 
+class _UnwritableError(Exception):
+    """An output path cannot be written: a usage error, not a bad instance."""
+
+
+def _write(path: str, payload: str) -> None:
+    try:
+        Path(path).write_text(payload)
+    except OSError as e:
+        raise _UnwritableError(f"cannot write {path}: {e}") from None
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(payload)
+        _write(out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -219,7 +230,7 @@ def cmd_bench(args) -> int:
         print("  ".join(
             f"{('skipped' if row.get(c, '') is None else row.get(c, '')):>12}" for c in cols))
     if args.json:
-        Path(args.json).write_text(json.dumps({"eps": str(args.eps), "rows": rows}, indent=2) + "\n")
+        _write(args.json, json.dumps({"eps": str(args.eps), "rows": rows}, indent=2) + "\n")
     return EXIT_INVALID if failed else EXIT_OK
 
 
@@ -278,6 +289,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UnwritableError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (InvalidInstanceError, InvalidDecisionTreeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,49 @@ class TestReduce:
         code, out, _ = run(capsys, "verify-lemma2", "--x3c", str(x3c))
         assert code == 0
         assert "decide-cover no" in out and "agreement ok" in out
+
+    @pytest.mark.parametrize("text, variant, cover", [
+        ("12 10\n1 2 5\n1 3 5\n1 3 7\n2 4 7\n2 8 9\n4 6 10\n6 8 10\n0 7 11\n4 9 11\n9 10 11\n",
+         "diam4", "yes"),
+        ("12 10\n1 4 5\n1 2 7\n5 6 7\n0 2 8\n1 6 8\n0 5 10\n3 9 10\n2 3 11\n0 6 11\n3 9 11\n",
+         "deg16", "no"),
+    ], ids=["planted-diam4", "unplanted-deg16"])
+    def test_verify_lemma2_ten_sets(self, capsys, tmp_path, text, variant, cover):
+        x3c = tmp_path / "q4m10.x3c"
+        x3c.write_text(text)
+        code, out, _ = run(capsys, "verify-lemma2", "--x3c", str(x3c), "--variant", variant)
+        assert code == 0
+        assert f"decide-cover {cover}" in out and "agreement ok" in out
+
+    def test_verify_lemma2_refuses_sweep_above_limit(self, capsys, tmp_path):
+        # 21 cyclic triples {i, i+1, i+2}: every element is in 3 sets.
+        x3c = tmp_path / "m21.x3c"
+        x3c.write_text("21 21\n" + "".join(f"{i} {(i + 1) % 21} {(i + 2) % 21}\n" for i in range(21)))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "verify-lemma2", "--x3c", str(x3c))
+        assert code == 3
+        assert "realization sweep above the limit" in err
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{path3}", "--out", "{missing}/s.json"],
+        ["solve", "{path3}", "--out", "{tmp}"],
+        ["gen", "path", "3", "--out", "{missing}/p.txt"],
+        ["reduce", "--x3c", "{x3c}", "--out", "{missing}/inst.txt"],
+        ["bench", "{suite}", "--json", "{missing}/report.json"],
+    ], ids=["solve-missing-dir", "solve-into-directory", "gen", "reduce", "bench-json"])
+    def test_usage_error_without_traceback(self, tmp_path, path3_file, argv):
+        (tmp_path / "suite").mkdir()
+        (tmp_path / "suite" / "p3.txt").write_text(PATH3)
+        (tmp_path / "m1.x3c").write_text("3 1\n0 1 2\n")
+        names = {"path3": path3_file, "missing": tmp_path / "missing", "tmp": tmp_path,
+                 "x3c": tmp_path / "m1.x3c", "suite": tmp_path / "suite"}
+        done = _cli(*(a.format(**names) for a in argv))
+        assert done.returncode == 1
+        assert "error: cannot write" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestBench:

@@ -12,16 +12,19 @@ from treesearch import (
     cost_gap,
     cover_threshold,
     decide_cover,
+    format_decision_tree,
     gamma,
     opt_cost,
     pi_names,
     pi_sequence,
     realization,
+    realization_cost,
     tree_diameter,
     validate,
     x3c_brute,
 )
-from treesearch.reduction import pi_set_groups
+from treesearch.model import DecisionNode, Leaf, Query
+from treesearch.reduction import ReductionOutput, build, pi_set_groups
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +245,102 @@ class TestDecision:
 
     def test_brute_empty_family(self):
         assert x3c_brute(X3CInstance.of(3, [])) is False
+
+
+def _reference_realization(red: ReductionOutput, spec) -> DecisionNode:
+    """The realization built directly from ``Leaf`` and ``Query``, with a
+    scan of the chosen sets per element; ``realization`` must write the same
+    strategies and ``realization_cost`` must fold their costs."""
+    inst = red.x3c
+    chosen = frozenset(spec)
+    for i in chosen:
+        if not 0 <= i < inst.m:
+            raise InvalidInstanceError(f"set index {i} out of range")
+    tree = red.instance
+
+    def isolate(v: int, rest: DecisionNode) -> DecisionNode:
+        return Query(v, no=rest, yes=Leaf(v))
+
+    # Zero-weight leftovers, deepest first so each query isolates a singleton:
+    # r_i of B-configured sets, plus hubs and spine for the bounded variant.
+    leftovers = [red.r_nodes[i] for i in sorted(chosen)]
+    leftovers += list(red.h_nodes) + [z for z in red.z_nodes if z != red.root]
+    leftovers.sort(key=lambda v: (-tree.depth[v], v))
+    node: DecisionNode = Leaf(red.root)
+    for v in reversed(leftovers):
+        node = isolate(v, node)
+
+    for kind, idx in red.pi:
+        if kind == "u":
+            for i in sorted(i for i in chosen if idx in inst.sets[i]):
+                j = inst.sets[i].index(idx)
+                node = isolate(red.s_nodes[i][j], node)
+        else:
+            i = idx
+            a1, a2, a3, a4 = red.a_nodes[i]
+            a_chain = isolate(a1, isolate(a2, isolate(a3, isolate(a4, node))))
+            t_i = red.t_nodes[i]
+            if i in chosen:
+                node = Query(t_i, no=a_chain, yes=Leaf(t_i))
+            else:
+                s1, s2, s3 = red.s_nodes[i]
+                right = Query(t_i, yes=Leaf(t_i), no=Query(
+                    s3, yes=Leaf(s3), no=Query(
+                        s2, yes=Leaf(s2), no=Query(
+                            s1, yes=Leaf(s1), no=Leaf(red.r_nodes[i])))))
+                node = Query(red.r_nodes[i], no=a_chain, yes=right)
+    return node
+
+
+def seeded_family(seed: int, planted: bool, q: int = 4, m: int = 10) -> X3CInstance:
+    """m distinct triples over 3q elements, each element in at most 3 of
+    them; with ``planted`` the first q triples partition the universe."""
+    rng = random.Random(seed)
+    n = 3 * q
+    fam = []
+    if planted:
+        elems = rng.sample(range(n), n)
+        fam = [tuple(sorted(elems[3 * i:3 * i + 3])) for i in range(q)]
+    count = [sum(e in t for t in fam) for e in range(n)]
+    for _ in range(10_000):
+        if len(fam) == m:
+            return X3CInstance.of(n, fam)
+        trip = tuple(sorted(rng.sample(range(n), 3)))
+        if trip not in fam and all(count[e] < 3 for e in trip):
+            fam.append(trip)
+            for e in trip:
+                count[e] += 1
+    raise AssertionError(f"seed {seed} found no family of {m} sets")
+
+
+GATE_FAMILIES = [
+    (seed, planted, variant) for seed, (planted, variant) in enumerate(
+        2 * list(itertools.product((True, False), ("diam4", "deg16"))), start=801)
+]
+
+
+class TestReferenceRealization:
+    """Every spec of every gate instance: ``realization`` writes the
+    reference's strategy text and ``realization_cost`` folds its cost."""
+
+    @staticmethod
+    def check(inst, variant):
+        red = build(inst, variant)
+        for bits in range(1 << inst.m):
+            spec = frozenset(i for i in range(inst.m) if bits >> i & 1)
+            tree = realization(red, spec)
+            assert format_decision_tree(tree) == format_decision_tree(_reference_realization(red, spec))
+            assert realization_cost(red, spec) == cost(tree, red.instance)
+        assert decide_cover(red) == x3c_brute(inst)
+
+    @pytest.mark.parametrize("variant", ["diam4", "deg16"])
+    @pytest.mark.parametrize("name", ["example1", "m1"])
+    def test_fixtures(self, request, name, variant):
+        self.check(request.getfixturevalue(name), variant)
+
+    @pytest.mark.parametrize("seed, planted, variant", GATE_FAMILIES)
+    def test_seeded_families(self, seed, planted, variant):
+        inst = seeded_family(seed, planted)
+        assert inst.m == 10 and inst.universe_size == 12
+        assert x3c_brute(inst) or not planted
+        self.check(inst, variant)
