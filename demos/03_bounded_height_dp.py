@@ -48,11 +48,11 @@ print("lifted back: est cost", est_cost(est, path), "=", cost(converted, path), 
 # optimal_bounded caps its budget at min(height_bound, n). Below that cap it
 # tries smaller budgets first and keeps a result whose cost is at most
 # deep_cost_bound(T, B), which every search tree of height >= B costs: the
-# larger of w(T) plus the smallest pieces along a path of B queries, and
-# the tall-Huffman cost TH(B) of the weights.
+# tall-Huffman cost TH(B) of the weights. No search tree of the 3-node path
+# is taller than 2.
 print("\nheight_bound(path) =", height_bound(path), "-> budget cap:", min(height_bound(path), path.n))
 print("optimal_bounded:", optimal_bounded(path)[0])
-print("deep_cost_bound(path, B) for B = 1..3:", [deep_cost_bound(path, b) for b in (1, 2, 3)])
+print("deep_cost_bound(path, B) for B = 1..2:", [deep_cost_bound(path, b) for b in (1, 2)])
 
 # Tight budgets trade cost for height. The star's center is only identified
 # once every edge has been queried, so its best search tree has height 3 and

@@ -31,7 +31,6 @@ search tree too tall for that budget; such a result is exact as well.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -421,38 +420,13 @@ def search_tree_to_est(root: DecisionNode, tree: InputTree) -> ESTNode:
 
 def deep_cost_bound(tree: InputTree, height: int) -> int:
     """Lower bound on the cost of every search tree of height >= ``height``:
-    the larger of a path bound and TH(height).
-
-    *Path bound*, w(T) + sum over s = 2..height of S(s), S(s) the sum of the
-    s smallest weights. Such a tree has a root-to-leaf path of at least
-    ``height`` queries. The piece at depth 0 on it is T, and the piece at
-    depth k >= 1 still needs height - k more queries, so it has at least
-    height - k + 1 nodes (a piece of p nodes is resolved within p - 1
-    queries) and weighs at least S(height - k + 1). A tree's cost is the sum
-    of w(piece) over its internal nodes, and weights are non-negative.
-
-    *Tall Huffman*, TH(height) = ``bounds.tall_huffman(weights, height)``,
-    the least sum of w * depth over full binary trees of height >= ``height``
-    whose leaves carry the n weights. A search tree is such a tree: every
-    query is informative, so both of its sides are non-empty, each node is
-    the label of exactly one leaf, and the cost is the sum of w(v) * depth
-    of v's leaf. Relabelling its leaves cannot make it cheaper than the
-    labelling that puts heavier weights on shallower leaves. For weights
-    w1 >= w2 on leaves at depths d1 > d2, swapping them changes the cost by
-    (w1 - w2) * (d2 - d1) <= 0, and repeated swaps reach the sorted
-    labelling. So the search tree costs at least the sorted labelling of its
-    own shape, which TH minimises over every shape of that height.
-
-    The path bound charges only the smallest weights, so it is weak when
-    weights differ; TH charges every weight at some depth. No search tree
-    is taller than n - 1; above that, the path bound alone is returned (the
-    claim is vacuous).
+    TH(height) = ``bounds.tall_huffman(weights, height)``. A search tree is a
+    full binary tree with one leaf per node (see ``bounds``), so it costs at
+    least its own shape with heavier weights on shallower leaves, which TH
+    minimises over every shape that tall. No search tree is taller than
+    n - 1, so a larger height raises ValueError, as ``tall_huffman`` does.
     """
-    smallest = list(itertools.accumulate(sorted(tree.weight)))  # smallest[s-1] = S(s)
-    path = tree.total_weight + sum(smallest[1:height])
-    if height >= tree.n:
-        return path
-    return max(path, tall_huffman(tree.weight, height))
+    return tall_huffman(tree.weight, height)
 
 
 def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]]:
@@ -460,8 +434,8 @@ def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]
     solution = solve_pb(tree, ("T", tree.root), (UNASSIGNED,) * budget, budget)
     if solution is None:
         return None
-    out = est_to_search_tree(solution.est, tree)
-    c = dt_cost(out, tree)
+    out = est_to_search_tree(solution.est, tree)  # validated there
+    c = dt_cost(out, tree, check=False)
     assert c <= solution.cost - tree.weight[tree.root]
     return c, out
 
@@ -490,8 +464,7 @@ def optimal_bounded(
       (``search_tree_to_est``), and the DP's EST, costing no more, converts
       to a search tree cheaper than itself by at least w(root);
     * any search tree of height >= B costs at least LB(B) >= c_B:
-      ``deep_cost_bound`` proves both of its bounds, the pieces along a
-      path of B queries and TH(B), the tall-Huffman cost of the weights.
+      ``deep_cost_bound`` is TH(B), the tall-Huffman cost of the weights.
 
     Weights are non-negative, so zero weights only weaken LB(B) and need no
     special case. TH(B) is a DP over the weights, O(n^4) at worst, so it is

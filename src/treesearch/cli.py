@@ -118,21 +118,15 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     alg = args.alg
     if alg == "auto":
-        # The oracle's states are connected pieces (< 2^n) and the DP's work
-        # at budget B is ~3^B with B up to n: below its limit the oracle wins.
+        # No DP: past --limit its budget is over the default cap except on
+        # zero-weight paths, where every strategy costs 0.
         if diameter.tree_diameter(tree) <= 3:
             alg = "diam3"
         elif tree.n <= args.limit:
             alg = "exact"
         else:
-            alg = "dp"
-    try:
-        c, strategy = _run(alg, tree, args)
-    except ResourceLimitError:
-        if args.alg != "auto":
-            raise
-        alg = "greedy"  # the DP refuses a budget above --cap before any work
-        c, strategy = _run(alg, tree, args)
+            alg = "greedy"
+    c, strategy = _run(alg, tree, args)
     elapsed = time.perf_counter() - t0
     _emit(tio.format_decision_tree(strategy), args.out)
     print(f"alg {alg}")
@@ -245,7 +239,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
     sp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT,
                     help="exact-solver node cap")
-    sp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP, help="dp height-budget cap")
+    sp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP, help="height-budget cap for dp and fptas")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 

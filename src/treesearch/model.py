@@ -219,14 +219,9 @@ class NodePiece:
         tops = [v for v in ns if v == tree.root or tree.parent[v] not in ns]
         if len(tops) != 1:
             raise InvalidInstanceError(f"not a connected piece: {len(tops)} topmost nodes")
-        top = tops[0]
-        # Connectivity: everything must hang below top via parents inside ns.
-        if mask & ~tree.subtree_mask[top]:
-            raise InvalidInstanceError("piece contains nodes outside its top's subtree")
-        for v in ns:
-            if v != top and tree.parent[v] not in ns:
-                raise InvalidInstanceError("piece is not connected")
-        return NodePiece(ns, top, mask)
+        # Every other node's parent lies in ns, so parents lead each node up
+        # to the one top: the piece is connected.
+        return NodePiece(ns, tops[0], mask)
 
     @staticmethod
     def whole(tree: InputTree) -> "NodePiece":

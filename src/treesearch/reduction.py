@@ -8,10 +8,13 @@ element u precedes a set iff u <= x3. The merged order Pi lists all elements
 and sets; each set lands right after its maximum element, and multiplicity
 <= 3 keeps runs of consecutive sets at length <= 3.
 
-Construction (diameter-4 variant). A root r; per set i a height-1 subtree
-with root r_i and leaves t_i, s_i1, s_i2, s_i3 (s_ij stands for the j-th
-smallest element of the set), plus four leaves a_i1..a_i4 under r. Weights
-follow the recurrence along Pi:
+Construction. Each set i gets one gadget: a height-1 subtree with root r_i
+and leaves t_i, s_i1, s_i2, s_i3 (s_ij stands for the j-th smallest element
+of the set), plus four leaves a_i1..a_i4, all hung from a hub. The
+diameter-4 tree T has a single hub, its root, holding every gadget; the
+degree-16 tree T^b has one hub h_g per run of Pi-consecutive sets, and the
+hubs hang from a spine z_1..z_p rooted at z_p. Weights (the same in both
+trees) follow the recurrence along Pi:
 
     w(u_1) = 1
     w(u_j) = 1 + 6 * max(|T|^3 * w(u_{j-1}), W_{u_j})
@@ -20,8 +23,7 @@ follow the recurrence along Pi:
 
 with W_u the total leaf weight of the sets preceding u in Pi. w(X_i)/2 need
 not be integral, so every stored weight is doubled (a global rescale; optima
-and the decision threshold scale along). The degree-16 variant T^b groups
-Pi-consecutive sets under hub nodes h_i strung on a spine z_1..z_p.
+and the decision threshold scale along).
 
 A realization w.r.t. Y walks Pi right to left and stacks blocks: per set its
 A-configuration (query r_i; YES side resolves t_i, s_i3.. s_i1; NO side runs
@@ -122,7 +124,10 @@ def gamma(inst: X3CInstance, i: int, j: int) -> int:
         raise InvalidInstanceError(f"set index {i} out of range")
     if j not in (0, 1, 2):
         raise InvalidInstanceError(f"element position {j} must be 0, 1 or 2")
-    pi = pi_sequence(inst)
+    return _gamma(inst, pi_sequence(inst), i, j)
+
+
+def _gamma(inst: X3CInstance, pi: Sequence[PiItem], i: int, j: int) -> int:
     u = inst.sets[i][j]
     pos_u = pi.index(("u", u))
     pos_x = pi.index(("X", i))
@@ -170,9 +175,10 @@ def _reduction_weights(inst: X3CInstance, tree_size: int):
     big_w = [0] * n
     wa = [0] * m
     wt = [0] * m
-    gammas = [tuple(gamma(inst, i, j) for j in range(3)) for i in range(m)]
+    pi = pi_sequence(inst)
+    gammas = [tuple(_gamma(inst, pi, i, j) for j in range(3)) for i in range(m)]
     running = 0  # doubled total weight of the leaf sets placed so far
-    for kind, idx in pi_sequence(inst):
+    for kind, idx in pi:
         if kind == "u":
             big_w[idx] = running
             ew[idx] = 2 if idx == 0 else 2 + 6 * max(cube * ew[idx - 1], running)
@@ -185,60 +191,6 @@ def _reduction_weights(inst: X3CInstance, tree_size: int):
             wt[idx] = wa[idx] + wx // 2  # wx is the doubled w(X_i), so wx//2 adds w(X_i)/2
             running += wt[idx] + wx + 4 * wa[idx]
     return ew, big_w, wa, wt, gammas
-
-
-def build_T(inst: X3CInstance) -> ReductionOutput:
-    """The diameter-4 instance: per-set subtrees and a-leaves under one root."""
-    n, m = inst.universe_size, inst.m
-    size = 1 + 9 * m
-    ew, big_w, wa, wt, gammas = _reduction_weights(inst, size)
-    parent = [-1] * size
-    weight = [0] * size
-    r_nodes, t_nodes, s_nodes, a_nodes = [], [], [], []
-    for i in range(m):
-        base = 1 + 9 * i
-        r_i, t_i = base, base + 1
-        s_i = (base + 2, base + 3, base + 4)
-        a_i = (base + 5, base + 6, base + 7, base + 8)
-        parent[r_i] = 0
-        parent[t_i] = r_i
-        weight[t_i] = wt[i]
-        for j in range(3):
-            parent[s_i[j]] = r_i
-            weight[s_i[j]] = ew[inst.sets[i][j]]
-        for k in range(4):
-            parent[a_i[k]] = 0
-            weight[a_i[k]] = wa[i]
-        r_nodes.append(r_i)
-        t_nodes.append(t_i)
-        s_nodes.append(s_i)
-        a_nodes.append(a_i)
-    element_leaves = _element_leaves(inst, s_nodes)
-    return ReductionOutput(
-        instance=InputTree(parent, weight),
-        variant="diam4",
-        x3c=inst,
-        pi=pi_sequence(inst),
-        root=0,
-        r_nodes=tuple(r_nodes),
-        t_nodes=tuple(t_nodes),
-        s_nodes=tuple(s_nodes),
-        a_nodes=tuple(a_nodes),
-        h_nodes=(),
-        z_nodes=(),
-        element_weight=tuple(ew),
-        element_leaves=element_leaves,
-        big_w=tuple(big_w),
-        gammas=tuple(gammas),
-    )
-
-
-def _element_leaves(inst: X3CInstance, s_nodes) -> tuple[tuple[int, ...], ...]:
-    out = [[] for _ in range(inst.universe_size)]
-    for i, s in enumerate(inst.sets):
-        for j, u in enumerate(s):
-            out[u].append(s_nodes[i][j])
-    return tuple(tuple(x) for x in out)
 
 
 def pi_set_groups(inst: X3CInstance) -> list[list[int]]:
@@ -257,89 +209,76 @@ def pi_set_groups(inst: X3CInstance) -> list[list[int]]:
     return groups
 
 
-def build_Tb(inst: X3CInstance) -> ReductionOutput:
-    """The degree-<=16 instance: Pi-adjacent sets grouped under hubs h_i,
-    hubs strung on a spine z_1..z_p rooted at z_p. Weights are those of the
-    diameter-4 tree (the recurrence still uses that tree's size)."""
+def build(inst: X3CInstance, variant: str) -> ReductionOutput:
+    """The reduction's instance: ``"diam4"`` for T, ``"deg16"`` for T^b, laid
+    out as the module docstring says (in T the root is the one hub and is not
+    listed in ``h_nodes``). Ids follow allocation: the spine from z_p down,
+    then per group its hub and per set r, t, s x3, a x4. Both variants carry
+    T's weights (the recurrence uses T's size)."""
+    if variant == "diam4":
+        groups, spine = [list(range(inst.m))], 0
+    elif variant == "deg16":
+        groups = pi_set_groups(inst)
+        spine = len(groups)
+        if not spine:
+            raise InvalidInstanceError("the degree-16 tree needs at least one set")
+    else:
+        raise InvalidInstanceError(f"unknown reduction variant {variant!r}")
     m = inst.m
-    size_T = 1 + 9 * m
-    ew, big_w, wa, wt, gammas = _reduction_weights(inst, size_T)
-    groups = pi_set_groups(inst)
-    p = len(groups)
-    size = 9 * m + 2 * p  # 9 nodes per set plus the hubs and the spine
-    parent = [-1] * size
-    weight = [0] * size
-    z_nodes = [0] * p
-    h_nodes = [0] * p
-    r_nodes = [0] * m
-    t_nodes = [0] * m
-    s_nodes: list[tuple[int, int, int]] = [None] * m
-    a_nodes: list[tuple[int, int, int, int]] = [None] * m
-    nxt = 0
+    ew, big_w, wa, wt, gammas = _reduction_weights(inst, 1 + 9 * m)
+    parent: list[int] = []
+    weight: list[int] = []
 
-    def alloc() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
+    def add(up: int, w: int = 0) -> int:
+        parent.append(up)
+        weight.append(w)
+        return len(parent) - 1
 
-    # Root z_p first, then down the spine.
-    z_nodes[p - 1] = alloc()
-    for g in range(p - 2, -1, -1):
-        z_nodes[g] = alloc()
-        parent[z_nodes[g]] = z_nodes[g + 1]
+    z_nodes = [0] * spine
+    up = -1
+    for g in reversed(range(spine)):
+        up = z_nodes[g] = add(up)
+    h_nodes = []
+    r_nodes, t_nodes, s_nodes, a_nodes = [0] * m, [0] * m, [()] * m, [()] * m
     for g, members in enumerate(groups):
-        h = alloc()
-        h_nodes[g] = h
-        parent[h] = z_nodes[g]
+        h = add(z_nodes[g] if spine else -1)
+        h_nodes.append(h)
         for i in members:
-            r_i = alloc()
-            parent[r_i] = h
-            t_i = alloc()
-            parent[t_i] = r_i
-            weight[t_i] = wt[i]
-            s_i = []
-            for j in range(3):
-                s = alloc()
-                parent[s] = r_i
-                weight[s] = ew[inst.sets[i][j]]
-                s_i.append(s)
-            a_i = []
-            for _ in range(4):
-                a = alloc()
-                parent[a] = h
-                weight[a] = wa[i]
-                a_i.append(a)
-            r_nodes[i] = r_i
-            t_nodes[i] = t_i
-            s_nodes[i] = tuple(s_i)
-            a_nodes[i] = tuple(a_i)
-    assert nxt == size
-    element_leaves = _element_leaves(inst, s_nodes)
+            r = r_nodes[i] = add(h)
+            t_nodes[i] = add(r, wt[i])
+            s_nodes[i] = tuple(add(r, ew[u]) for u in inst.sets[i])
+            a_nodes[i] = tuple(add(h, wa[i]) for _ in range(4))
+    element_leaves: list[list[int]] = [[] for _ in range(inst.universe_size)]
+    for trip, leaves in zip(inst.sets, s_nodes):
+        for u, s in zip(trip, leaves):
+            element_leaves[u].append(s)
     return ReductionOutput(
         instance=InputTree(parent, weight),
-        variant="deg16",
+        variant=variant,
         x3c=inst,
         pi=pi_sequence(inst),
-        root=z_nodes[p - 1],
+        root=z_nodes[-1] if spine else h_nodes[0],
         r_nodes=tuple(r_nodes),
         t_nodes=tuple(t_nodes),
         s_nodes=tuple(s_nodes),
         a_nodes=tuple(a_nodes),
-        h_nodes=tuple(h_nodes),
+        h_nodes=tuple(h_nodes) if spine else (),
         z_nodes=tuple(z_nodes),
         element_weight=tuple(ew),
-        element_leaves=element_leaves,
+        element_leaves=tuple(map(tuple, element_leaves)),
         big_w=tuple(big_w),
         gammas=tuple(gammas),
     )
 
 
-def build(inst: X3CInstance, variant: str) -> ReductionOutput:
-    if variant == "diam4":
-        return build_T(inst)
-    if variant == "deg16":
-        return build_Tb(inst)
-    raise InvalidInstanceError(f"unknown reduction variant {variant!r}")
+def build_T(inst: X3CInstance) -> ReductionOutput:
+    """The diameter-4 instance T: ``build(inst, "diam4")``."""
+    return build(inst, "diam4")
+
+
+def build_Tb(inst: X3CInstance) -> ReductionOutput:
+    """The degree-<=16 instance T^b: ``build(inst, "deg16")``."""
+    return build(inst, "deg16")
 
 
 RealizationSpec = frozenset  # the sets realized in B-configuration

@@ -22,6 +22,7 @@ def run(capsys, *argv):
 
 PATH3 = "3 0\n0 -1 1\n1 0 1\n2 1 1\n"
 PATH5 = "5 0\n0 -1 3\n1 0 1\n2 1 4\n3 2 1\n4 3 5\n"  # diameter 4
+ZERO_PATH21 = format_instance(path_tree(21, [0] * 21))  # every strategy costs 0
 
 
 @pytest.fixture
@@ -61,11 +62,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("text, extra, alg", [
         (PATH5, [], "exact"),
-        (PATH5, ["--limit", "4"], "dp"),
+        (PATH5, ["--limit", "4"], "greedy"),
         ("4 0\n0 -1 0\n1 0 3\n2 0 2\n3 0 1\n", [], "diam3"),
         (format_instance(random_tree(40, 1, (1, 5))), [], "greedy"),
-        (format_instance(random_tree(21, 1)), [], "greedy"),  # the DP's budget 21 is over the cap
-    ], ids=["path5", "path5-limit4", "star", "random40", "random21"])
+        (format_instance(random_tree(21, 1)), [], "greedy"),
+        (ZERO_PATH21, [], "greedy"),
+    ], ids=["path5", "path5-limit4", "star", "random40", "random21", "path21-zero"])
     def test_auto_routing(self, capsys, tmp_path, text, extra, alg):
         inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
         inst.write_text(text)
@@ -78,6 +80,8 @@ class TestSolve:
         assert printed in evaluated.splitlines()
         if text == PATH5:
             assert printed == "cost 32"
+        if text == ZERO_PATH21:
+            assert printed == "cost 0"
 
     def test_malformed_parent_id(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -9,6 +9,7 @@ from treesearch import (
     UNASSIGNED,
     InfeasibleError,
     InputTree,
+    Leaf,
     ResourceLimitError,
     cost,
     deep_cost_bound,
@@ -234,15 +235,21 @@ class TestDeepening:
                 hf = huffman(t.weight)
                 for short in range(0, (n - 1).bit_length() + 1):  # ceil(log2 n)
                     assert tall_huffman(t.weight, short) == hf, (t.weight, short)
+                for budget in range(1, n):  # TH(B) subsumes the path bound
+                    assert deep_cost_bound(t, budget) >= _path_bound(t, budget), (t.weight, budget)
                 for strategy in enumerate_decision_trees(t):
                     c, h = cost(strategy, t), tree_height(strategy)
                     assert c >= hf, (parents, t.weight)
                     for budget in range(0, h + 1):
                         assert c >= tall_huffman(t.weight, budget), (parents, t.weight, budget)
-                        if budget:
-                            assert c >= deep_cost_bound(t, budget), (parents, t.weight, budget)
+                        assert c >= deep_cost_bound(t, budget), (parents, t.weight, budget)
                         checked += 1
         assert checked > 1000
+        # A single node is resolved by its leaf alone, whatever its weight.
+        single = InputTree([-1], [5])
+        assert cost(Leaf(0), single) == 0 == deep_cost_bound(single, 0)
+        with pytest.raises(ValueError):
+            deep_cost_bound(single, 1)
 
     def test_tall_huffman_is_tight(self):
         # TH(B) is attained: the least cost over every labelled full binary

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from treesearch import (
     cover_threshold,
     decide_cover,
     format_decision_tree,
+    format_instance,
     gamma,
     opt_cost,
     pi_names,
@@ -23,8 +25,8 @@ from treesearch import (
     validate,
     x3c_brute,
 )
-from treesearch.model import DecisionNode, Leaf, Query
-from treesearch.reduction import ReductionOutput, build, pi_set_groups
+from treesearch.model import DecisionNode, InputTree, Leaf, Query
+from treesearch.reduction import ReductionOutput, _reduction_weights, build, pi_set_groups
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +346,188 @@ class TestReferenceRealization:
         assert inst.m == 10 and inst.universe_size == 12
         assert x3c_brute(inst) or not planted
         self.check(inst, variant)
+
+
+# The two builders as they stood before ``build`` held one layout for both
+# variants; ``build`` must reproduce every node id, parent, weight and role.
+
+def _reference_build_T(inst: X3CInstance) -> ReductionOutput:
+    """The diameter-4 instance: per-set subtrees and a-leaves under one root."""
+    n, m = inst.universe_size, inst.m
+    size = 1 + 9 * m
+    ew, big_w, wa, wt, gammas = _reduction_weights(inst, size)
+    parent = [-1] * size
+    weight = [0] * size
+    r_nodes, t_nodes, s_nodes, a_nodes = [], [], [], []
+    for i in range(m):
+        base = 1 + 9 * i
+        r_i, t_i = base, base + 1
+        s_i = (base + 2, base + 3, base + 4)
+        a_i = (base + 5, base + 6, base + 7, base + 8)
+        parent[r_i] = 0
+        parent[t_i] = r_i
+        weight[t_i] = wt[i]
+        for j in range(3):
+            parent[s_i[j]] = r_i
+            weight[s_i[j]] = ew[inst.sets[i][j]]
+        for k in range(4):
+            parent[a_i[k]] = 0
+            weight[a_i[k]] = wa[i]
+        r_nodes.append(r_i)
+        t_nodes.append(t_i)
+        s_nodes.append(s_i)
+        a_nodes.append(a_i)
+    element_leaves = _reference_element_leaves(inst, s_nodes)
+    return ReductionOutput(
+        instance=InputTree(parent, weight),
+        variant="diam4",
+        x3c=inst,
+        pi=pi_sequence(inst),
+        root=0,
+        r_nodes=tuple(r_nodes),
+        t_nodes=tuple(t_nodes),
+        s_nodes=tuple(s_nodes),
+        a_nodes=tuple(a_nodes),
+        h_nodes=(),
+        z_nodes=(),
+        element_weight=tuple(ew),
+        element_leaves=element_leaves,
+        big_w=tuple(big_w),
+        gammas=tuple(gammas),
+    )
+
+
+def _reference_element_leaves(inst: X3CInstance, s_nodes) -> tuple[tuple[int, ...], ...]:
+    out = [[] for _ in range(inst.universe_size)]
+    for i, s in enumerate(inst.sets):
+        for j, u in enumerate(s):
+            out[u].append(s_nodes[i][j])
+    return tuple(tuple(x) for x in out)
+
+
+def _reference_build_Tb(inst: X3CInstance) -> ReductionOutput:
+    """The degree-<=16 instance: Pi-adjacent sets grouped under hubs h_i,
+    hubs strung on a spine z_1..z_p rooted at z_p. Weights are those of the
+    diameter-4 tree (the recurrence still uses that tree's size)."""
+    m = inst.m
+    size_T = 1 + 9 * m
+    ew, big_w, wa, wt, gammas = _reduction_weights(inst, size_T)
+    groups = pi_set_groups(inst)
+    p = len(groups)
+    size = 9 * m + 2 * p  # 9 nodes per set plus the hubs and the spine
+    parent = [-1] * size
+    weight = [0] * size
+    z_nodes = [0] * p
+    h_nodes = [0] * p
+    r_nodes = [0] * m
+    t_nodes = [0] * m
+    s_nodes: list[tuple[int, int, int]] = [None] * m
+    a_nodes: list[tuple[int, int, int, int]] = [None] * m
+    nxt = 0
+
+    def alloc() -> int:
+        nonlocal nxt
+        nxt += 1
+        return nxt - 1
+
+    # Root z_p first, then down the spine.
+    z_nodes[p - 1] = alloc()
+    for g in range(p - 2, -1, -1):
+        z_nodes[g] = alloc()
+        parent[z_nodes[g]] = z_nodes[g + 1]
+    for g, members in enumerate(groups):
+        h = alloc()
+        h_nodes[g] = h
+        parent[h] = z_nodes[g]
+        for i in members:
+            r_i = alloc()
+            parent[r_i] = h
+            t_i = alloc()
+            parent[t_i] = r_i
+            weight[t_i] = wt[i]
+            s_i = []
+            for j in range(3):
+                s = alloc()
+                parent[s] = r_i
+                weight[s] = ew[inst.sets[i][j]]
+                s_i.append(s)
+            a_i = []
+            for _ in range(4):
+                a = alloc()
+                parent[a] = h
+                weight[a] = wa[i]
+                a_i.append(a)
+            r_nodes[i] = r_i
+            t_nodes[i] = t_i
+            s_nodes[i] = tuple(s_i)
+            a_nodes[i] = tuple(a_i)
+    assert nxt == size
+    element_leaves = _reference_element_leaves(inst, s_nodes)
+    return ReductionOutput(
+        instance=InputTree(parent, weight),
+        variant="deg16",
+        x3c=inst,
+        pi=pi_sequence(inst),
+        root=z_nodes[p - 1],
+        r_nodes=tuple(r_nodes),
+        t_nodes=tuple(t_nodes),
+        s_nodes=tuple(s_nodes),
+        a_nodes=tuple(a_nodes),
+        h_nodes=tuple(h_nodes),
+        z_nodes=tuple(z_nodes),
+        element_weight=tuple(ew),
+        element_leaves=element_leaves,
+        big_w=tuple(big_w),
+        gammas=tuple(gammas),
+    )
+
+
+def random_family(rng: random.Random) -> X3CInstance:
+    """A family of 1..10 triples over 3..15 elements, duplicates allowed,
+    each element in at most 3 of them."""
+    n = 3 * rng.randint(1, 5)
+    count = [0] * n
+    fam = []
+    for _ in range(rng.randint(1, 10)):
+        trip = tuple(sorted(rng.sample(range(n), 3)))
+        if rng.random() < 0.1 and fam:
+            trip = rng.choice(fam)
+        if all(count[e] < 3 for e in trip):
+            fam.append(trip)
+            for e in trip:
+                count[e] += 1
+    return X3CInstance.of(n, fam)
+
+
+class TestReferenceBuilders:
+    """``build`` writes the reference builders' instance text and every
+    ``ReductionOutput`` field, for both variants."""
+
+    @staticmethod
+    def check(inst):
+        for variant, reference in (("diam4", _reference_build_T), ("deg16", _reference_build_Tb)):
+            got, want = build(inst, variant), reference(inst)
+            assert format_instance(got.instance) == format_instance(want.instance)
+            for field in dataclasses.fields(ReductionOutput):
+                assert getattr(got, field.name) == getattr(want, field.name), (variant, field.name)
+
+    @pytest.mark.parametrize("name", ["example1", "m1"])
+    def test_fixtures(self, request, name):
+        self.check(request.getfixturevalue(name))
+
+    def test_seeded_families(self):
+        rng = random.Random(901)
+        sizes = set()
+        for _ in range(300):
+            inst = random_family(rng)
+            sizes.add((inst.universe_size, inst.m))
+            self.check(inst)
+        assert len(sizes) > 30
+
+    def test_bad_variant_and_empty_deg16(self):
+        # With no sets T^b has no hub and no spine, so it is refused.
+        with pytest.raises(InvalidInstanceError):
+            build(X3CInstance.of(3, [(0, 1, 2)]), "deg8")
+        with pytest.raises(InvalidInstanceError):
+            build(X3CInstance.of(3, []), "deg16")
+        assert build(X3CInstance.of(3, []), "diam4").instance.n == 1
