@@ -32,12 +32,13 @@ search tree too tall for that budget; such a result is exact as well.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
-from .model import DecisionNode, Diagnostics, InputTree, Leaf, Query, build_decision_tree, cost as dt_cost
+from .model import (
+    DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, build_decision_tree, cost as dt_cost,
+)
 
 
 class _Marker:
@@ -62,11 +63,13 @@ SubforestId = tuple  # ("T", v) or ("F", u, f)
 DEFAULT_HEIGHT_CAP = 12
 
 
-@dataclass
-class ESTNode:
-    assignment: Assignment
-    left: Optional["ESTNode"] = None
-    right: Optional["ESTNode"] = None
+class ESTNode(_Record):
+    __slots__ = ("assignment", "left", "right")
+
+    def __init__(self, assignment: Assignment, left: Optional[ESTNode] = None, right: Optional[ESTNode] = None):
+        self.assignment = assignment
+        self.left = left
+        self.right = right
 
 
 def est_iter(root: Optional[ESTNode]):
@@ -317,10 +320,12 @@ def _chain(cells: list[tuple[Assignment, Optional[ESTNode]]]) -> Optional[ESTNod
     return node
 
 
-@dataclass
-class PBSolution:
-    cost: int
-    est: ESTNode
+class PBSolution(_Record):
+    __slots__ = ("cost", "est")
+
+    def __init__(self, cost: int, est: ESTNode):
+        self.cost = cost
+        self.est = est
 
 
 def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Optional[PBSolution]:

@@ -9,13 +9,12 @@ human-readable stats always go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import diameter, exact, gen, io as tio
+from . import diameter, exact, io as tio
 from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
 from .fptas import fptas
 from .greedy import greedy
@@ -153,6 +152,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import gen  # imported here: no other subcommand needs it
+
     lo, hi = args.weights
     if args.kind == "random":
         tree = gen.random_tree(args.n, args.seed, (lo, hi))
@@ -224,6 +225,8 @@ def cmd_bench(args) -> int:
         print("  ".join(
             f"{('skipped' if row.get(c, '') is None else row.get(c, '')):>12}" for c in cols))
     if args.json:
+        import json  # imported here: only this report writes JSON
+
         _write(args.json, json.dumps({"eps": str(args.eps), "rows": rows}, indent=2) + "\n")
     return EXIT_INVALID if failed else EXIT_OK
 

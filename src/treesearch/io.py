@@ -12,7 +12,6 @@ first line ``n m``, then m lines of three 0-based element indices.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
@@ -142,7 +141,12 @@ def parse_decision_tree(text: str) -> DecisionNode:
     fields: dict = {}
     while True:
         key = take(2)
-        key = json.loads(key) if "\\" in key else key[1:-1]
+        if "\\" in key:  # an escaped key: rare, so json is imported only here
+            import json
+
+            key = json.loads(key)
+        else:
+            key = key[1:-1]
         if key not in ("leaf", "query", "no", "yes") or key in fields:
             raise InvalidDecisionTreeError([f"bad record keys {sorted(fields) + [key]}"])
         take(1, ":")

@@ -12,7 +12,6 @@ reduction needs them) work throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
@@ -139,21 +138,70 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-@dataclass(frozen=True)
-class Leaf:
-    node: int
+_set = object.__setattr__  # how a frozen record's __init__ stores its fields
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Query:
+class _Record:
+    """A record whose fields are its ``__slots__``, in order: the repr lists
+    them as ``Name(field=value, ...)``, two records are equal when they are
+    of the same class with equal fields, and a record is unhashable, since
+    its fields can be reassigned."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        inner = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return self.__class__, self._fields()
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose fields are set once, by ``__init__`` through ``_set``;
+    it hashes by the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Leaf(_FrozenRecord):
+    __slots__ = ("node",)
+
+    def __init__(self, node: int):
+        _set(self, "node", node)
+
+
+class Query(_FrozenRecord):
     """A query node. Equality, hashing and repr walk the strategy with an
     explicit stack, so they work on strategies taller than the recursion
-    limit; they agree with what the dataclass would generate (value
-    equality, equal hashes for equal trees, the same repr text)."""
+    limit; they give value equality, equal hashes for equal trees, and the
+    repr text ``Query(query=.., no=.., yes=..)``."""
 
-    query: int
-    no: Optional["DecisionNode"]   # NO branch: marked node outside T_query
-    yes: Optional["DecisionNode"]  # YES branch: marked node inside T_query
+    __slots__ = ("query", "no", "yes")
+
+    def __init__(self, query: int, no: Optional[DecisionNode], yes: Optional[DecisionNode]):
+        _set(self, "query", query)
+        _set(self, "no", no)    # NO branch: marked node outside T_query
+        _set(self, "yes", yes)  # YES branch: marked node inside T_query
 
     def _preorder(self) -> list:
         """Query ids and the other nodes (leaves, None) in preorder. Every
@@ -194,17 +242,19 @@ class Query:
 DecisionNode = Union[Leaf, Query]
 
 
-@dataclass(frozen=True)
-class NodePiece:
+class NodePiece(_FrozenRecord):
     """A connected set of instance nodes with a unique topmost node.
 
     This is the "remaining search space" at a decision-tree node: querying
     can only ever shrink the candidate set to such pieces.
     """
 
-    nodes: frozenset[int]
-    top: int
-    mask: int
+    __slots__ = ("nodes", "top", "mask")
+
+    def __init__(self, nodes: frozenset[int], top: int, mask: int):
+        _set(self, "nodes", nodes)
+        _set(self, "top", top)
+        _set(self, "mask", mask)
 
     @staticmethod
     def of(tree: InputTree, nodes: Iterable[int]) -> "NodePiece":
@@ -284,10 +334,12 @@ def tree_size(root: DecisionNode) -> int:
     return sum(1 for _ in iter_nodes(root))
 
 
-@dataclass
-class Diagnostics:
-    ok: bool
-    violations: list[str]
+class Diagnostics(_Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list[str]):
+        self.ok = ok
+        self.violations = violations
 
     def raise_if_invalid(self):
         if not self.ok:

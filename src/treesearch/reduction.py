@@ -39,16 +39,14 @@ all checkable and checked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstanceError, ResourceLimitError, TreeSearchError
 from .exact import opt_cost
-from .model import DecisionNode, InputTree, Leaf, Query, cost, query_depths
+from .model import DecisionNode, InputTree, Leaf, Query, _FrozenRecord, _Record, _set, cost, query_depths
 
 
-@dataclass(frozen=True)
-class X3CInstance:
+class X3CInstance(_FrozenRecord):
     """An Exact 3-Set Cover instance with multiplicity <= 3.
 
     Construction canonicalizes: each triple is sorted ascending and the
@@ -57,8 +55,11 @@ class X3CInstance:
     kept; they end up adjacent.
     """
 
-    universe_size: int
-    sets: tuple[tuple[int, int, int], ...]
+    __slots__ = ("universe_size", "sets")
+
+    def __init__(self, universe_size: int, sets: tuple[tuple[int, int, int], ...]):
+        _set(self, "universe_size", universe_size)
+        _set(self, "sets", sets)
 
     @staticmethod
     def of(universe_size: int, family: Iterable[Sequence[int]]) -> "X3CInstance":
@@ -136,8 +137,7 @@ def _gamma(inst: X3CInstance, pi: Sequence[PiItem], i: int, j: int) -> int:
     return (j + 1) - 5 + elems_between + 5 * sets_upto
 
 
-@dataclass
-class ReductionOutput:
+class ReductionOutput(_Record):
     """A generated tree-search instance with its role bookkeeping.
 
     All weights stored on the instance are twice the recurrence's values
@@ -145,22 +145,46 @@ class ReductionOutput:
     cover threshold scale by the same factor, so decisions are unchanged.
     """
 
-    instance: InputTree
-    variant: str  # "diam4" or "deg16"
-    x3c: X3CInstance
-    pi: tuple[PiItem, ...]
-    root: int
-    r_nodes: tuple[int, ...]
-    t_nodes: tuple[int, ...]
-    s_nodes: tuple[tuple[int, int, int], ...]
-    a_nodes: tuple[tuple[int, int, int, int], ...]
-    h_nodes: tuple[int, ...]
-    z_nodes: tuple[int, ...]
-    element_weight: tuple[int, ...]  # doubled w(u_j)
-    element_leaves: tuple[tuple[int, ...], ...]
-    big_w: tuple[int, ...]  # doubled W_{u_j}
-    gammas: tuple[tuple[int, int, int], ...]
-    weights_doubled: bool = True
+    __slots__ = (
+        "instance", "variant", "x3c", "pi", "root", "r_nodes", "t_nodes", "s_nodes", "a_nodes",
+        "h_nodes", "z_nodes", "element_weight", "element_leaves", "big_w", "gammas", "weights_doubled",
+    )
+
+    def __init__(
+        self,
+        instance: InputTree,
+        variant: str,  # "diam4" or "deg16"
+        x3c: X3CInstance,
+        pi: tuple[PiItem, ...],
+        root: int,
+        r_nodes: tuple[int, ...],
+        t_nodes: tuple[int, ...],
+        s_nodes: tuple[tuple[int, int, int], ...],
+        a_nodes: tuple[tuple[int, int, int, int], ...],
+        h_nodes: tuple[int, ...],
+        z_nodes: tuple[int, ...],
+        element_weight: tuple[int, ...],  # doubled w(u_j)
+        element_leaves: tuple[tuple[int, ...], ...],
+        big_w: tuple[int, ...],  # doubled W_{u_j}
+        gammas: tuple[tuple[int, int, int], ...],
+        weights_doubled: bool = True,
+    ):
+        self.instance = instance
+        self.variant = variant
+        self.x3c = x3c
+        self.pi = pi
+        self.root = root
+        self.r_nodes = r_nodes
+        self.t_nodes = t_nodes
+        self.s_nodes = s_nodes
+        self.a_nodes = a_nodes
+        self.h_nodes = h_nodes
+        self.z_nodes = z_nodes
+        self.element_weight = element_weight
+        self.element_leaves = element_leaves
+        self.big_w = big_w
+        self.gammas = gammas
+        self.weights_doubled = weights_doubled
 
     def set_weight(self, i: int) -> int:
         """Doubled w(X_i): total element weight of set i."""

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from treesearch import InputTree, format_instance, parse_decision_tree, parse_in
 from treesearch.cli import main
 from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -334,3 +336,23 @@ class TestBench:
         code, out, _ = run(capsys, "bench", str(suite))
         assert code == 2
         assert "broken.txt" in out
+
+
+def test_cli_import_graph():
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect`` (each
+    costs milliseconds of every child's start-up) nor ``json`` and ``gen``
+    (only a few paths use them), but does load every module that the
+    benchmark's traced replay wraps right after that import."""
+    replay = ROOT / "perfbench" / "replay.py"
+    spec = importlib.util.spec_from_file_location("_replay", replay)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Only the modules this import adds: the interpreter's own start-up may
+    # load others, depending on the installation.
+    code = "import sys; old = set(sys.modules); import treesearch.cli; print(*set(sys.modules) - old)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert not {"dataclasses", "inspect", "json", "treesearch.gen"} & loaded
+    assert {f"treesearch.{name}" for name in module.SPANS} <= loaded

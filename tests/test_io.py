@@ -101,6 +101,13 @@ def test_decision_tree_tall_round_trip(star1500, default_recursion_limit):
     assert sys.getrecursionlimit() == default_recursion_limit
 
 
+def test_decision_tree_escaped_keys():
+    text = '{"\\u0071uery": 1, "n\\u006F": {"leaf": 0}, "yes": {"l\\u0065af": 1}}'
+    assert parse_decision_tree(text) == Query(1, Leaf(0), Leaf(1)) == _from_records(json.loads(text))
+    with pytest.raises(InvalidDecisionTreeError, match="bad record keys"):
+        parse_decision_tree('{"le\\naf": 1}')
+
+
 @pytest.mark.parametrize("text", [
     "", "{", "{}", "[]", '"leaf"', '{"leaf": 1} {"leaf": 1}', '{"leaf": 1,}', '{"leaf" 1}',
     '{"leaf": true}', '{"leaf": null}', '{"leaf": 1.0}', '{"leaf": 1e2}', '{"leaf": 01}',

@@ -1,6 +1,8 @@
+import itertools
+import pickle
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import pytest
 
@@ -23,8 +25,10 @@ from treesearch import (
     uninformative_ancestor_counts,
     validate,
 )
+from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
 from treesearch.gen import random_tree
-from treesearch.model import iter_nodes
+from treesearch.model import Diagnostics, iter_nodes
+from treesearch.reduction import ReductionOutput, X3CInstance, build
 
 
 def seq_star_tree():
@@ -191,6 +195,168 @@ class TestQueryDunders:
         assert text.startswith("Query(query=") and text.count("Query(") == 1500
         assert text.count("Leaf(node=") == 1501
         assert sys.getrecursionlimit() == default_recursion_limit
+
+
+# Each record class as the dataclass it replaced: the same fields in the same
+# order, the same defaults and the same frozenness, under the name
+# "_Twin" + the record's name.
+@dataclass(frozen=True)
+class _TwinLeaf:
+    node: object
+
+
+@dataclass(frozen=True)
+class _TwinNodePiece:
+    nodes: object
+    top: object
+    mask: object
+
+
+@dataclass
+class _TwinDiagnostics:
+    ok: object
+    violations: object
+
+
+@dataclass
+class _TwinESTNode:
+    assignment: object
+    left: object = None
+    right: object = None
+
+
+@dataclass
+class _TwinPBSolution:
+    cost: object
+    est: object
+
+
+@dataclass(frozen=True)
+class _TwinX3CInstance:
+    universe_size: object
+    sets: object
+
+
+@dataclass
+class _TwinReductionOutput:
+    instance: object
+    variant: object
+    x3c: object
+    pi: object
+    root: object
+    r_nodes: object
+    t_nodes: object
+    s_nodes: object
+    a_nodes: object
+    h_nodes: object
+    z_nodes: object
+    element_weight: object
+    element_leaves: object
+    big_w: object
+    gammas: object
+    weights_doubled: object = True
+
+
+_TWINS = {cls: globals()["_Twin" + cls.__name__]
+          for cls in (Leaf, NodePiece, Diagnostics, ESTNode, PBSolution, X3CInstance, ReductionOutput)}
+_FROZEN = (Leaf, NodePiece, X3CInstance)
+
+
+def _as_twin(value):
+    """``value`` with every record in it, nested ones included, as its twin."""
+    twin = _TWINS.get(value.__class__)
+    if twin is None:
+        return value
+    return twin(*[_as_twin(getattr(value, f.name)) for f in fields(twin)])
+
+
+def _samples(cls) -> list:
+    """Several values of ``cls``, with equal ones built separately."""
+    inst = X3CInstance.of(6, [(0, 1, 2), (3, 4, 5)])
+    if cls is Leaf:
+        return [Leaf(0), Leaf(3), Leaf(node=3), Leaf(10**30)]
+    if cls is NodePiece:
+        return [NodePiece(frozenset({0, 1}), 0, 3), NodePiece(frozenset({1, 0}), 0, 0b11),
+                NodePiece(frozenset({2}), 2, 4), NodePiece(mask=4, top=2, nodes=frozenset({2}))]
+    if cls is Diagnostics:
+        return [Diagnostics(True, []), Diagnostics(False, ["a"]), Diagnostics(False, ["a"]),
+                Diagnostics(False, ["b"])]
+    if cls is ESTNode:
+        return [ESTNode(1), ESTNode(1, None, None), ESTNode(BLOCKED, right=ESTNode(2)),
+                ESTNode(BLOCKED, ESTNode(3), ESTNode(2)), ESTNode(BLOCKED, ESTNode(3), ESTNode(2))]
+    if cls is PBSolution:
+        return [PBSolution(4, ESTNode(1)), PBSolution(4, ESTNode(1)), PBSolution(5, ESTNode(1)),
+                PBSolution(est=ESTNode(2, right=ESTNode(1)), cost=4)]
+    if cls is X3CInstance:
+        return [inst, X3CInstance(6, ((0, 1, 2), (3, 4, 5))), X3CInstance.of(3, [(0, 1, 2)]),
+                X3CInstance(universe_size=3, sets=((0, 1, 2),))]
+    out = [build(inst, "diam4"), build(inst, "diam4"), build(inst, "deg16")]
+    every = {f.name: getattr(out[0], f.name) for f in fields(_TwinReductionOutput)}
+    return out + [ReductionOutput(**dict(every, weights_doubled=False))]
+
+
+@pytest.mark.parametrize("cls", list(_TWINS), ids=lambda c: c.__name__)
+class TestRecordDunders:
+    """The hand-written record classes behave as the dataclasses they replaced."""
+
+    def test_repr_and_equality(self, cls):
+        values = _samples(cls)
+        twins = [_as_twin(v) for v in values]
+        for v, t in zip(values, twins):
+            assert v.__class__ is cls and t.__class__ is _TWINS[cls]
+            assert repr(v) == repr(t).replace("_Twin", "")
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                try:
+                    pickle.dumps(t, protocol)
+                except TypeError:  # below protocol 2 slotted values (BLOCKED, InputTree) do not pickle
+                    assert protocol < 2
+                    with pytest.raises(TypeError):
+                        pickle.dumps(v, protocol)
+                else:  # BLOCKED unpickles as a copy, so compare the text
+                    assert repr(pickle.loads(pickle.dumps(v, protocol))) == repr(v)
+        equal_pairs = 0
+        for i, j in itertools.product(range(len(values)), repeat=2):
+            assert (values[i] == values[j]) is (twins[i] == twins[j])
+            assert (values[i] != values[j]) is (twins[i] != twins[j])
+            equal_pairs += i != j and values[i] == values[j]
+        assert equal_pairs and not all(values[0] == v for v in values)
+        assert values[0] != twins[0] and values[0] != None  # noqa: E711
+
+    def test_hash_and_assignment(self, cls):
+        for v, t in zip(_samples(cls), _samples(cls)):
+            name = fields(_TWINS[cls])[-1].name
+            if cls in _FROZEN:
+                assert hash(v) == hash(t) == hash(_as_twin(v))
+                with pytest.raises(AttributeError):
+                    setattr(v, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(v, name)
+                assert v == t
+            else:
+                with pytest.raises(TypeError):
+                    hash(v)
+                twin = _as_twin(v)
+                setattr(v, name, 0)
+                setattr(twin, name, 0)
+                assert repr(v) == repr(twin).replace("_Twin", "") and (v == t) is (twin == _as_twin(t))
+
+    def test_keyword_construction_and_defaults(self, cls):
+        twin = _TWINS[cls]
+        for v in _samples(cls):
+            every = {f.name: getattr(v, f.name) for f in fields(twin)}
+            required = {f.name: every[f.name] for f in fields(twin) if f.default is MISSING}
+            assert cls(**every) == v and cls(*every.values()) == v
+            made = cls(**required)
+            assert repr(made) == repr(twin(**{k: _as_twin(x) for k, x in required.items()})).replace("_Twin", "")
+
+
+def test_query_is_frozen():
+    q = Query(1, Leaf(0), Leaf(1))
+    with pytest.raises(AttributeError):
+        q.query = 2
+    with pytest.raises(AttributeError):
+        del q.yes
+    assert q == Query(query=1, no=Leaf(0), yes=Leaf(1)) and q.query == 1
 
 
 class TestNodePiece:

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import random
 
@@ -503,13 +503,18 @@ class TestReferenceBuilders:
     """``build`` writes the reference builders' instance text and every
     ``ReductionOutput`` field, for both variants."""
 
+    def test_slots_name_every_field(self):
+        # ``check`` compares the fields that ``__slots__`` names.
+        fields = ReductionOutput.__slots__
+        assert len(set(fields)) == 16 and fields == tuple(inspect.signature(ReductionOutput).parameters)
+
     @staticmethod
     def check(inst):
         for variant, reference in (("diam4", _reference_build_T), ("deg16", _reference_build_Tb)):
             got, want = build(inst, variant), reference(inst)
             assert format_instance(got.instance) == format_instance(want.instance)
-            for field in dataclasses.fields(ReductionOutput):
-                assert getattr(got, field.name) == getattr(want, field.name), (variant, field.name)
+            for name in ReductionOutput.__slots__:
+                assert getattr(got, name) == getattr(want, name), (variant, name)
 
     @pytest.mark.parametrize("name", ["example1", "m1"])
     def test_fixtures(self, request, name):
