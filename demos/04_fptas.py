@@ -1,10 +1,13 @@
-"""The FPTAS: scale weights, solve the scaled instance exactly, keep the tree.
+"""The FPTAS: scale weights, solve the scaled instance nearly exactly, keep
+the tree.
 
 K = eps * W / n^2 with W the heaviest node; each weight becomes
 ceil(w / K), computed in exact rational arithmetic. The scaled total weight
 is at most n * (n^2/eps + 1), so the pseudo-polynomial DP runs in time
-polynomial in n and 1/eps, and the returned tree is (1+eps)-optimal under
-the original weights.
+polynomial in n and 1/eps. ``fptas`` scales with eps/2 and stops the DP at
+the first height budget that certifies its tree within (1+eps)/(1+eps/2)
+of optimal for the scaled weights, so the returned tree is (1+eps)-optimal
+under the original weights.
 """
 
 import random

@@ -36,7 +36,6 @@ from .exact import (
     enumerate_decision_trees,
     opt_cost,
     opt_cost_min_height,
-    opt_cost_restricted_height,
     optimal_first_queries,
 )
 from .fptas import fptas, scale_weights

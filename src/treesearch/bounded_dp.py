@@ -26,19 +26,24 @@ height <= n exists and running with B = n (or any B past the instance's
 height bound) returns the exact optimum after conversion. The DP's work
 grows like 3^B, so ``optimal_bounded`` first tries smaller budgets and keeps
 one only when its cost is at most ``deep_cost_bound``, a lower bound on every
-search tree too tall for that budget; such a result is exact as well.
+search tree too tall for that budget; such a result is exact as well. With
+an accepted ratio above 1 it keeps the first budget whose cost that bound
+certifies within the ratio of optimal, which is how the FPTAS stops early.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
 from .model import (
     DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, build_decision_tree, cost as dt_cost,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _Marker:
@@ -48,6 +53,11 @@ class _Marker:
         self._name = name
 
     def __repr__(self):
+        return self._name
+
+    def __reduce__(self):
+        # Pickled and copied by reference to the module-level name, so the
+        # markers keep their identity and ``is BLOCKED`` tests still hold.
         return self._name
 
 
@@ -449,8 +459,10 @@ def optimal_bounded(
     tree: InputTree,
     budget: Optional[int] = None,
     cap: int = DEFAULT_HEIGHT_CAP,
+    ratio: int | Fraction = 1,
 ) -> tuple[int, DecisionNode]:
-    """Exact optimal search tree via the EST dynamic program.
+    """Optimal search tree via the EST dynamic program, exact by default and
+    within ``ratio`` of optimal when a ratio above 1 is accepted.
 
     An explicit ``budget`` runs the DP once at that height; a too-small
     budget can make the problem infeasible. By default the budget is
@@ -461,24 +473,32 @@ def optimal_bounded(
 
     The default then deepens: it runs the DP at B = ceil(log2 n) + 1, ...,
     top - 1 (no search tree is shorter than ceil(log2 n)) and returns the
-    first result whose cost c_B is at most LB(B) = ``deep_cost_bound(tree,
-    B)``, falling back to the run at top. The certified result is optimal:
+    first result whose certified ratio rho_B = c_B / min(c_B, LB(B)) is at
+    most ``ratio``, where c_B is the result's cost and LB(B) =
+    ``deep_cost_bound(tree, B)``; it falls back to the run at top, which is
+    exact. The certificate holds because OPT >= min(c_B, LB(B)):
 
     * the DP at B costs no more than any search tree D of height <= B - 1:
       D lifts to an EST of height <= B costing cost(D) + w(root)
       (``search_tree_to_est``), and the DP's EST, costing no more, converts
       to a search tree cheaper than itself by at least w(root);
-    * any search tree of height >= B costs at least LB(B) >= c_B:
+    * any search tree of height >= B costs at least LB(B):
       ``deep_cost_bound`` is TH(B), the tall-Huffman cost of the weights.
 
-    Weights are non-negative, so zero weights only weaken LB(B) and need no
-    special case. TH(B) is a DP over the weights, O(n^4) at worst, so it is
-    evaluated only here, after the EST DP has run at B, and never for an
-    explicit ``budget`` or a budget refused by ``cap``. The DP's work grows
-    like 3^B, so when no smaller budget certifies, the runs below top
-    together cost about half the run at top (more at small n, where fixed
-    costs dominate).
+    With the default ``ratio`` 1 the stop is c_B <= LB(B), and the result is
+    optimal. ``ratio`` is an int or a ``Fraction`` p/q >= 1, and the test
+    q * c_B <= p * LB(B) stays in integers (for p >= q it also accepts every
+    c_B <= LB(B)). Weights are non-negative, so zero weights only weaken
+    LB(B) and need no special case. TH(B) is a DP over the weights, O(n^4)
+    at worst, so it is evaluated only here, after the EST DP has run at B,
+    and never for an explicit ``budget`` or a budget refused by ``cap``. The
+    DP's work grows like 3^B, so when no smaller budget certifies, the runs
+    below top together cost about half the run at top (more at small n,
+    where fixed costs dominate).
     """
+    p, q = ratio.numerator, ratio.denominator
+    if p < q:
+        raise ValueError(f"accepted ratio {ratio} is below 1")
     deepen = range(0)
     if budget is None:
         budget = min(height_bound(tree), max(tree.n, 1))
@@ -489,7 +509,7 @@ def optimal_bounded(
         )
     for b in deepen:
         found = _solve_at(tree, b)
-        if found is not None and found[0] <= deep_cost_bound(tree, b):
+        if found is not None and q * found[0] <= p * deep_cost_bound(tree, b):
             return found
     found = _solve_at(tree, budget)
     if found is None:

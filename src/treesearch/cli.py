@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import diameter, exact, io as tio
 from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
@@ -27,6 +27,9 @@ from .errors import (
 )
 from .model import cost, tree_height, tree_size, validate
 from .reduction import X3CInstance, build, decide_cover, pi_names, x3c_brute
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -64,6 +67,8 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _parse_eps(text: str) -> Fraction:
+    from fractions import Fraction  # imported here: only fptas and bench read --eps
+
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -273,7 +278,7 @@ def _build_parser() -> _Parser:
 
     bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
     bp.add_argument("suite")
-    bp.add_argument("--eps", type=_parse_eps, default=Fraction(1, 2))
+    bp.add_argument("--eps", type=_parse_eps, default="1/2")
     bp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT)
     bp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP)
     bp.add_argument("--json", default=None, help="also write a structured report")

@@ -26,10 +26,9 @@ splits this way, so they equal an exhaustive search with smallest-id
 tie-breaking. The search stays exponential where many splits have equal
 bounds, as NP-hardness demands even at diameter 4: on spiders with legs of
 two nodes and unit weights it still bounds about 17 thousand pieces at
-n = 21 and 107 thousand at n = 24. ``opt_cost_restricted_height`` is a
-separate exhaustive search over (piece, height) pairs. This is the
-ground-truth oracle for every approximation and DP test and refuses
-instances above a configurable node limit.
+n = 21 and 107 thousand at n = 24. This is the ground-truth oracle for
+every approximation and DP test and refuses instances above a configurable
+node limit.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ class _Oracle:
         self.lower: dict[int, int] = {}  # piece -> proven lower bound, Huffman at first
         self.first: dict[int, int] = {}  # piece -> smallest optimal first query
         self.heights: dict[int, int] = {}
-        self.capped: dict[tuple[int, int], Optional[int]] = {}
         # Each search recurses through a chain of shrinking pieces, n deep at most.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
 
@@ -175,28 +173,6 @@ class _Oracle:
             self.heights[piece] = h
         return h
 
-    def solve_capped(self, piece: int, h: int) -> Optional[int]:
-        """Optimal cost of ``piece`` within height ``h``, None if none fits."""
-        if piece & (piece - 1) == 0:
-            return 0
-        if h <= 0:
-            return None
-        # Deeper budgets than the piece size never bind.
-        h = min(h, bin(piece).count("1") - 1)
-        key = (piece, h)
-        if key in self.capped:
-            return self.capped[key]
-        best = None
-        for _, inside in _splits(self.tree, piece):
-            a = self.solve_capped(inside, h - 1)
-            if a is None:
-                continue
-            b = self.solve_capped(piece ^ inside, h - 1)
-            if b is not None and (best is None or a + b < best):
-                best = a + b
-        self.capped[key] = None if best is None else self.tree.mask_weight(piece) + best
-        return self.capped[key]
-
     def build(self, piece: int) -> DecisionNode:
         _, x = self.solve(piece)
         if x < 0:
@@ -214,14 +190,6 @@ def opt_cost(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, Decision
     oracle = _Oracle(tree, limit)
     full = tree.full_mask()
     return oracle.cost(full), oracle.build(full)
-
-
-def opt_cost_restricted_height(tree: InputTree, height: int, limit: int = DEFAULT_LIMIT) -> Optional[int]:
-    """Optimal cost among decision trees of height <= ``height``.
-
-    Returns None when no such tree exists (fewer than 2**height leaves fit).
-    """
-    return _Oracle(tree, limit).solve_capped(tree.full_mask(), height)
 
 
 def opt_cost_min_height(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:

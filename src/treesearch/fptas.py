@@ -3,29 +3,33 @@
 Scaling divides every weight by K = eps * W / n^2 (W the maximum weight) and
 rounds up, all in exact rational arithmetic, so the scaled instance has
 total weight at most n * (n^2/eps + 1) and the exact solver becomes
-polynomial for bounded degree. Solving the scaled instance exactly and
-costing the result under the original weights is (1 + eps)-optimal.
+polynomial for bounded degree. ``fptas`` scales with eps/2 and lets the
+solver stop at the first height budget that certifies its result within
+(1 + eps) / (1 + eps/2) of optimal for the scaled weights; costed under the
+original weights, the result is (1 + eps)-optimal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
 from .model import DecisionNode, InputTree, cost
 
-Epsilon = Union[Fraction, int, str]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-def _as_fraction(eps: Epsilon) -> Fraction:
+def _as_fraction(eps: Fraction | int | str) -> Fraction:
+    from fractions import Fraction  # imported here: only the FPTAS needs it
+
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
 
 
-def scale_weights(tree: InputTree, eps: Epsilon) -> InputTree:
+def scale_weights(tree: InputTree, eps: Fraction | int | str) -> InputTree:
     """Round each weight up to a multiple of K = eps*W/n^2 (counted in K units).
 
     All-zero instances scale to themselves: any valid tree is optimal there.
@@ -43,17 +47,29 @@ def scale_weights(tree: InputTree, eps: Epsilon) -> InputTree:
 
 def fptas(
     tree: InputTree,
-    eps: Epsilon,
+    eps: Fraction | int | str,
     cap: int = DEFAULT_HEIGHT_CAP,
     budget: Optional[int] = None,
 ) -> tuple[DecisionNode, int]:
     """(1 + eps)-approximate search tree, costed under the original weights.
 
-    ``budget`` and ``cap`` pass to ``optimal_bounded`` on the scaled
-    instance: an explicit budget runs the DP once; the default deepens from
-    ceil(log2 n) + 1 and keeps the first result certified optimal for the
-    scaled weights, which is all the (1 + eps) guarantee needs.
+    The weights are scaled with eps/2 (``scale_weights``), and ``budget``
+    and ``cap`` pass to ``optimal_bounded`` on the scaled instance: an
+    explicit budget runs the DP once; the default deepens from
+    ceil(log2 n) + 1 and keeps the first result whose certified ratio is at
+    most rho = (1 + eps) / (1 + eps/2).
+
+    Why that is (1 + eps)-optimal: let w' be the scaled weights, K =
+    (eps/2) * W / n^2, S the result and S* an optimal tree for w, of cost
+    OPT. S is within rho of optimal for the eps/2-scaled weights, and
+    w <= K * w' <= w + K node by node, with every depth at most n - 1, so
+    cost_w(S) <= K * cost_w'(S) <= rho * K * cost_w'(S*) <=
+    rho * (OPT + K * n * (n - 1)). Here K * n * (n - 1) < (eps/2) * W <=
+    (eps/2) * OPT, since for n >= 2 the heaviest node sits at depth >= 1.
+    So cost_w(S) <= rho * (1 + eps/2) * OPT = (1 + eps) * OPT.
     """
-    scaled = scale_weights(tree, eps)
-    _, strategy = optimal_bounded(scaled, budget=budget, cap=cap)
+    eps = _as_fraction(eps)
+    half = eps / 2
+    scaled = scale_weights(tree, half)
+    _, strategy = optimal_bounded(scaled, budget=budget, cap=cap, ratio=(1 + eps) / (1 + half))
     return strategy, cost(strategy, tree)

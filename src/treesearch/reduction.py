@@ -308,71 +308,104 @@ def build_Tb(inst: X3CInstance) -> ReductionOutput:
 RealizationSpec = frozenset  # the sets realized in B-configuration
 
 
-def _realize(red: ReductionOutput, spec: Iterable[int], leaf, query):
-    """The realization of Pi w.r.t. the B-configured sets in ``spec``, built
-    from ``leaf(v)`` and ``query(v, no, yes)``; the one place that knows the
+def _spec_bits(inst: X3CInstance, spec: Iterable[int]) -> int:
+    """The B-configured sets in ``spec`` as a bit mask over set indices."""
+    bits = 0
+    for i in spec:
+        if not 0 <= i < inst.m:
+            raise InvalidInstanceError(f"set index {i} out of range")
+        bits |= 1 << i
+    return bits
+
+
+def _realizer(red: ReductionOutput, leaf, query, run=None):
+    """bits -> the realization of Pi w.r.t. the B-configured sets in the bit
+    mask ``bits`` (``_spec_bits``), built from ``leaf(v)``,
+    ``query(v, no, yes)`` and ``run(vs)``; the one place that knows the
     block order.
+
+    ``run(vs)`` returns a function that isolates the nodes ``vs`` above a
+    given node, ``vs[0]`` on top: each node v becomes
+    ``query(v, <the rest>, leaf(v))``. By default it is built from ``leaf``
+    and ``query``; a caller may pass one that folds a whole run at once.
+    Every run that does not depend on the spec is made once per realizer,
+    and an element's run once per subset of its chosen sets.
 
     Built bottom-up: the completion for zero-weight structural nodes, then
     one block per Pi item from first to last, so the last item ends up at
     the top. Within an element's block the pending s-leaves run in ascending
-    set order (their weights are equal, so the cost is order-free).
+    set order from the bottom (their weights are equal, so the cost is
+    order-free).
     """
     inst = red.x3c
-    chosen = frozenset(spec)
-    for i in chosen:
-        if not 0 <= i < inst.m:
-            raise InvalidInstanceError(f"set index {i} out of range")
-    depth = red.instance.depth
-
-    def isolate(v: int, rest):
-        return query(v, rest, leaf(v))
+    if run is None:
+        def run(vs):
+            def isolate_all(node):
+                for v in reversed(vs):
+                    node = query(v, node, leaf(v))
+                return node
+            return isolate_all
 
     # Zero-weight leftovers, deepest first so each query isolates a singleton:
-    # r_i of B-configured sets, plus hubs and spine for the bounded variant.
-    leftovers = [red.r_nodes[i] for i in chosen]
-    leftovers += list(red.h_nodes) + [z for z in red.z_nodes if z != red.root]
-    leftovers.sort(key=lambda v: (-depth[v], v))
-    node = leaf(red.root)
-    for v in reversed(leftovers):
-        node = isolate(v, node)
-
-    # The s-leaves each element still has pending, in ascending set order.
-    pending: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for i in sorted(chosen):
+    # r_i of B-configured sets (tagged with i), plus hubs and spine for the
+    # bounded variant.
+    depth = red.instance.depth
+    structural = [(r, i) for i, r in enumerate(red.r_nodes)]
+    structural += [(v, None) for v in red.h_nodes + red.z_nodes if v != red.root]
+    structural.sort(key=lambda item: (-depth[item[0]], item[0]))
+    # Per element, its (set, s-leaf) pairs from the top down (descending set
+    # order), the mask of its sets, and its runs by chosen subset.
+    by_element: list[list[tuple[int, int]]] = [[] for _ in range(inst.universe_size)]
+    for i in reversed(range(inst.m)):
         for u, s in zip(inst.sets[i], red.s_nodes[i]):
-            pending[u].append(s)
+            by_element[u].append((i, s))
+    element_sets = [sum(1 << i for i, _ in pairs) for pairs in by_element]
+    element_runs: list[dict] = [{} for _ in by_element]
+    # A-configuration: query r_i, NO side a_i1..a_i4 above the rest, YES side
+    # t_i, s_i3..s_i1 above r_i's leaf. B-configuration: t_i, then a_i1..a_i4.
+    a_chain = [run(a) for a in red.a_nodes]
+    right = [run((t, s3, s2, s1))(leaf(r))
+             for r, t, (s1, s2, s3) in zip(red.r_nodes, red.t_nodes, red.s_nodes)]
+    b_block = [run((t,) + a) for t, a in zip(red.t_nodes, red.a_nodes)]
+    r_nodes = red.r_nodes
 
-    for kind, idx in red.pi:
-        if kind == "u":
-            for s in pending[idx]:
-                node = isolate(s, node)
-        else:
-            i = idx
-            a1, a2, a3, a4 = red.a_nodes[i]
-            a_chain = isolate(a1, isolate(a2, isolate(a3, isolate(a4, node))))
-            t_i = red.t_nodes[i]
-            if i in chosen:
-                node = isolate(t_i, a_chain)
+    def realize(bits: int):
+        node = run([v for v, i in structural if i is None or bits >> i & 1])(leaf(red.root))
+        for kind, idx in red.pi:
+            if kind == "u":
+                key = bits & element_sets[idx]
+                if key:
+                    runs = element_runs[idx]
+                    step = runs.get(key)
+                    if step is None:
+                        step = runs[key] = run([s for i, s in by_element[idx] if key >> i & 1])
+                    node = step(node)
+            elif bits >> idx & 1:
+                node = b_block[idx](node)
             else:
-                s1, s2, s3 = red.s_nodes[i]
-                right = isolate(t_i, isolate(s3, isolate(s2, isolate(s1, leaf(red.r_nodes[i])))))
-                node = query(red.r_nodes[i], a_chain, right)
-    return node
+                node = query(r_nodes[idx], a_chain[idx](node), right[idx])
+        return node
+
+    return realize
 
 
 def realization(red: ReductionOutput, spec: Iterable[int]) -> DecisionNode:
     """The realization of Pi w.r.t. the B-configured sets in ``spec``, as a
     decision tree."""
-    return _realize(red, spec, Leaf, Query)
+    return _realizer(red, Leaf, Query)(_spec_bits(red.x3c, spec))
 
 
-def realization_cost(red: ReductionOutput, spec: Iterable[int]) -> int:
-    """``cost(realization(red, spec), red.instance)`` without building the
-    tree: the same blocks fold into (cost, weight) pairs, a leaf v into
-    (0, w(v)) and a query over its sides into
+def _cost_fold(red: ReductionOutput):
+    """bits -> ``cost(realization(red, spec), red.instance)`` for the spec
+    with those bits (``_spec_bits``), without building the tree: the same
+    blocks fold into (cost, weight) pairs, a leaf v into (0, w(v)) and a
+    query over its sides into
     (c_no + c_yes + W_no + W_yes, W_no + W_yes), since every leaf below a
-    query sits one level deeper than below its side. Exact integers."""
+    query sits one level deeper than below its side. A run that isolates
+    w_1..w_k from the bottom up over (C, W) gives
+    (C + k * W + sum of the prefix sums of w, W + sum of w), so each run
+    costs O(1) integer steps once its two sums are known, and the sums of
+    the spec-independent runs are taken once. Exact integers."""
     w = red.instance.weight
 
     def leaf(v: int) -> tuple[int, int]:
@@ -382,7 +415,21 @@ def realization_cost(red: ReductionOutput, spec: Iterable[int]) -> int:
         weight = no[1] + yes[1]
         return no[0] + yes[0] + weight, weight
 
-    return _realize(red, spec, leaf, query)[0]
+    def run(vs):
+        k, added, extra = len(vs), 0, 0
+        for v in reversed(vs):
+            added += w[v]
+            extra += added
+        return lambda node: (node[0] + k * node[1] + extra, node[1] + added)
+
+    realize = _realizer(red, leaf, query, run)
+    return lambda bits: realize(bits)[0]
+
+
+def realization_cost(red: ReductionOutput, spec: Iterable[int]) -> int:
+    """``cost(realization(red, spec), red.instance)`` without building the
+    tree, by the (cost, weight) fold that ``decide_cover`` sweeps."""
+    return _cost_fold(red)(_spec_bits(red.x3c, spec))
 
 
 def measured_level_drops(red: ReductionOutput, spec: frozenset, i: int,
@@ -436,34 +483,35 @@ def decide_cover(red: ReductionOutput, enumerate_limit: int = 20,
     """True iff the best realization's gap meets the cover threshold, i.e.
     iff the X3C instance has an exact cover.
 
-    The sweep costs all 2^m realizations with ``realization_cost``, a
-    (cost, weight) fold over the realization's blocks that builds no tree.
-    Two trees are built and validated: D^A (the empty spec), whose cost
-    must equal its fold, and the winning spec's, whose cost must equal the
-    fold minimum; either mismatch raises ``TreeSearchError``. When the
-    instance is small enough the minimum is also cross-checked against the
-    exhaustive solver (optimal strategies are realizations).
+    The sweep costs all 2^m realizations with the fold behind
+    ``realization_cost``, which builds no tree and takes O(m + |U|) integer
+    steps per realization over a universe U. Two trees are built and
+    validated: D^A (the empty spec), whose cost must equal its fold, and the
+    winning spec's, whose cost must equal the fold minimum; either mismatch
+    raises ``TreeSearchError``. When the instance is small enough the
+    minimum is also cross-checked against the exhaustive solver (optimal
+    strategies are realizations).
 
-    Work is predicted before the sweep: 2^m folds of 2|T| - 1 steps each
-    for an instance of |T| nodes, so an m above ``enumerate_limit`` is
-    refused up front with ``ResourceLimitError``. Measured in-process (Python 3.11, 2-vCPU VM) on
-    cyclic families {i, i+1, i+2}, diam4 / deg16: 0.56 / 0.69 s at m = 14,
-    2.6 / 3.3 s at m = 16 and 11.6 / 13.9 s at m = 18, about x4.5 per two
-    sets; at the limit m = 20 that extrapolates to about 50 / 60 s."""
+    Work is predicted before the sweep: 2^m folds, so an m above
+    ``enumerate_limit`` is refused up front with ``ResourceLimitError``.
+    Measured in-process (Python 3.11, 2-vCPU VM) on cyclic families
+    {i, i+1, i+2} over 3 * ceil(m/3) elements, diam4 / deg16: 0.43 / 0.49 s
+    at m = 14, 2.1 / 2.0 s at m = 16 and 8.2 / 8.7 s at m = 18, about x4.2
+    per two sets; at the limit m = 20 that extrapolates to about 35 s."""
     m = red.x3c.m
     if m > enumerate_limit:
         raise ResourceLimitError(f"{m} sets: 2^m realization sweep above the limit")
     tree = red.instance
+    fold = _cost_fold(red)
     d_a_cost = cost(realization(red, frozenset()), tree)
-    if realization_cost(red, frozenset()) != d_a_cost:
+    if fold(0) != d_a_cost:
         raise TreeSearchError(f"realization fold disagrees with cost(D^A) = {d_a_cost}")
-    best = best_spec = None
+    best = best_bits = None
     for bits in range(1 << m):
-        spec = frozenset(i for i in range(m) if bits >> i & 1)
-        c = realization_cost(red, spec)
+        c = fold(bits)
         if best is None or c < best:
-            best, best_spec = c, spec
-    winner = cost(realization(red, best_spec), tree)
+            best, best_bits = c, bits
+    winner = cost(realization(red, (i for i in range(m) if best_bits >> i & 1)), tree)
     if winner != best:
         raise TreeSearchError(
             f"realization fold minimum {best} disagrees with its tree's cost {winner}"

@@ -339,9 +339,10 @@ class TestBench:
 
 
 def test_cli_import_graph():
-    """Importing the CLI loads neither ``dataclasses`` nor ``inspect`` (each
-    costs milliseconds of every child's start-up) nor ``json`` and ``gen``
-    (only a few paths use them), but does load every module that the
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect`` nor
+    ``fractions`` with its ``decimal`` (each costs milliseconds of every
+    child's start-up) nor ``json`` and ``gen`` (only a few paths use them),
+    but does load every module that the
     benchmark's traced replay wraps right after that import."""
     replay = ROOT / "perfbench" / "replay.py"
     spec = importlib.util.spec_from_file_location("_replay", replay)
@@ -354,5 +355,5 @@ def test_cli_import_graph():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     loaded = set(done.stdout.split())
-    assert not {"dataclasses", "inspect", "json", "treesearch.gen"} & loaded
+    assert not {"dataclasses", "decimal", "fractions", "inspect", "json", "treesearch.gen"} & loaded
     assert {f"treesearch.{name}" for name in module.SPANS} <= loaded

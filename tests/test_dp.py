@@ -1,12 +1,16 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from treesearch import (
     BLOCKED,
     UNASSIGNED,
+    ESTNode,
     InfeasibleError,
     InputTree,
     Leaf,
@@ -160,6 +164,16 @@ class TestConversion:
         assert cost(converted, path3) == sol.cost - path3.weight[0]
 
 
+def test_markers_survive_pickle_and_copy():
+    node = ESTNode(BLOCKED, left=ESTNode(UNASSIGNED), right=ESTNode(2))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(node, protocol))
+        assert back == node
+        assert back.assignment is BLOCKED and back.left.assignment is UNASSIGNED
+    assert copy.deepcopy(node) == node
+    assert copy.copy(BLOCKED) is BLOCKED and copy.deepcopy(UNASSIGNED) is UNASSIGNED
+
+
 class TestHeightBound:
     def test_formula_fixture(self, path3):
         # max_children 1, w(T) 3, n 3: 13*2 + 2*2 + 2.
@@ -220,6 +234,20 @@ class TestOptimalBounded:
             for parents in all_tree_shapes(n):
                 t = InputTree(parents, [rng.choice([0, 0, 0, 1, 3]) for _ in range(n)])
                 assert optimal_bounded(t)[0] == opt_cost(t)[0]
+
+
+    def test_accepted_ratio_is_certified(self):
+        rng = random.Random(24)
+        for n in range(1, 8):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, [rng.choice([0, 0, 1, 2, 9]) for _ in range(n)])
+                best = opt_cost(t)[0]
+                for ratio in (Fraction(6, 5), 2):
+                    c, strategy = optimal_bounded(t, ratio=ratio)
+                    assert validate(strategy, t).ok and c == cost(strategy, t)
+                    assert c <= ratio * best, (parents, t.weight, ratio)
+        with pytest.raises(ValueError):
+            optimal_bounded(t, ratio=Fraction(1, 2))
 
 
 class TestDeepening:

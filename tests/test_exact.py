@@ -13,11 +13,11 @@ from treesearch import (
     format_decision_tree,
     opt_cost,
     opt_cost_min_height,
-    opt_cost_restricted_height,
     optimal_first_queries,
     tree_height,
     validate,
 )
+from treesearch import bounded_dp
 from treesearch.exact import _Oracle, _splits
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
 
@@ -152,22 +152,76 @@ def test_derived_answers_match_enumeration():
             assert opt_cost_min_height(t) == (best, min(tree_height(d) for d in optimal))
 
 
+def _reference_restricted_height(tree, height):
+    """Optimal cost among decision trees of height <= ``height``, or None
+    when none fits (fewer than 2**height leaves): an exhaustive search over
+    (piece, height) pairs, independent of the branch and bound."""
+    memo = {}
+
+    def solve(piece, h):
+        if piece & (piece - 1) == 0:
+            return 0
+        if h <= 0:
+            return None
+        h = min(h, bin(piece).count("1") - 1)  # deeper budgets never bind
+        key = (piece, h)
+        if key not in memo:
+            best = None
+            for _, inside in _splits(tree, piece):
+                a = solve(inside, h - 1)
+                if a is None:
+                    continue
+                b = solve(piece ^ inside, h - 1)
+                if b is not None and (best is None or a + b < best):
+                    best = a + b
+            memo[key] = None if best is None else tree.mask_weight(piece) + best
+        return memo[key]
+
+    return solve(tree.full_mask(), height)
+
+
 def test_restricted_height():
     t = InputTree([-1, 0, 1], [1, 1, 1])
-    assert opt_cost_restricted_height(t, 2) == 5
-    assert opt_cost_restricted_height(t, 3) == opt_cost(t)[0]
+    assert _reference_restricted_height(t, 2) == 5
+    assert _reference_restricted_height(t, 3) == opt_cost(t)[0]
 
 
 def test_restricted_height_infeasible():
     t = InputTree([-1, 0, 0, 0], [1, 1, 1, 1])
-    assert opt_cost_restricted_height(t, 1) is None
+    assert _reference_restricted_height(t, 1) is None
 
 
 def test_budget_of_n_never_binds():
     rng = random.Random(3)
     for _ in range(15):
         t = random_tree(rng.randint(1, 10), rng.randrange(10**6), (0, 9))
-        assert opt_cost_restricted_height(t, t.n) == opt_cost(t)[0]
+        assert _reference_restricted_height(t, t.n) == opt_cost(t)[0]
+
+
+def test_dp_budget_lemma():
+    # The EST DP at budget B costs c_B with OPT_{<=B} <= c_B <= OPT_{<=B-1},
+    # and finds nothing only when no search tree of height <= B - 1 exists.
+    # So OPT >= min(c_B, TH(B)), the certificate behind every deepening stop.
+    rng = random.Random(23)
+    checked = 0
+    for n in range(1, 8):
+        for parents in all_tree_shapes(n):
+            t = InputTree(parents, [rng.choice([0, 0, 1, 2, 9]) for _ in range(n)])
+            best = opt_cost(t)[0]
+            for budget in range(1, n + 1):
+                found = bounded_dp._solve_at(t, budget)
+                below = _reference_restricted_height(t, budget - 1)
+                case = (parents, t.weight, budget)
+                if found is None:
+                    assert below is None, case
+                else:
+                    c = found[0]
+                    assert _reference_restricted_height(t, budget) <= c, case
+                    assert below is None or c <= below, case
+                    if budget < n:
+                        assert best >= min(c, bounded_dp.deep_cost_bound(t, budget)), case
+                checked += 1
+    assert checked == 526
 
 
 def test_min_height_is_achievable_and_optimal():
@@ -176,8 +230,8 @@ def test_min_height_is_achievable_and_optimal():
         t = random_tree(rng.randint(1, 10), rng.randrange(10**6), (1, 9))
         c, h = opt_cost_min_height(t)
         assert c == opt_cost(t)[0]
-        assert opt_cost_restricted_height(t, h) == c
-        assert h == 0 or opt_cost_restricted_height(t, h - 1) != c
+        assert _reference_restricted_height(t, h) == c
+        assert h == 0 or _reference_restricted_height(t, h - 1) != c
 
 
 def test_monotone_under_piece_inclusion():

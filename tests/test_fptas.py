@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treesearch import InputTree, cost, fptas, opt_cost, scale_weights, validate
+from treesearch import InputTree, bounded_dp, cost, fptas, opt_cost, scale_weights, tree_diameter, validate
 from treesearch.gen import all_tree_shapes, random_tree
 
 
@@ -75,11 +75,32 @@ def test_guarantee_exhaustive_small():
                 assert c <= (1 + eps) * best
 
 
-def test_scaled_instance_solved_exactly():
+def test_scaled_instance_solved_within_rho():
+    # fptas scales with eps/2 and stops at the first budget certified within
+    # rho = (1 + eps) / (1 + eps/2) of optimal for those weights.
     rng = random.Random(18)
     for _ in range(10):
         t = random_tree(rng.randint(2, 8), rng.randrange(10**6), (1, 40))
         eps = Fraction(1, 3)
-        scaled = scale_weights(t, eps)
+        scaled = scale_weights(t, eps / 2)
         strategy, _ = fptas(t, eps)
-        assert cost(strategy, scaled) == opt_cost(scaled)[0]
+        assert cost(strategy, scaled) <= (1 + eps) / (1 + eps / 2) * opt_cost(scaled)[0]
+
+
+def test_stops_at_first_certified_budget(monkeypatch):
+    # A diameter-4 tree with n = 10 on which the exact stop for the scaled
+    # weights needs budgets 5..8; the ratio stop accepts the first, B = 5.
+    budgets = []
+    solve = bounded_dp.solve_pb
+
+    def recording(tree, forest, plp, budget):
+        budgets.append(budget)
+        return solve(tree, forest, plp, budget)
+
+    monkeypatch.setattr(bounded_dp, "solve_pb", recording)
+    t = InputTree([-1, 0, 0, 0, 1, 3, 2, 0, 2, 3], [3, 3, 5, 2, 6, 5, 10, 10, 1, 10])
+    assert tree_diameter(t) == 4
+    strategy, c = fptas(t, Fraction(1, 2))
+    assert budgets == [5]
+    assert validate(strategy, t).ok
+    assert c == cost(strategy, t) <= Fraction(3, 2) * opt_cost(t)[0]

@@ -308,11 +308,11 @@ class TestRecordDunders:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 try:
                     pickle.dumps(t, protocol)
-                except TypeError:  # below protocol 2 slotted values (BLOCKED, InputTree) do not pickle
+                except TypeError:  # below protocol 2 a slotted InputTree does not pickle
                     assert protocol < 2
                     with pytest.raises(TypeError):
                         pickle.dumps(v, protocol)
-                else:  # BLOCKED unpickles as a copy, so compare the text
+                else:  # InputTree compares by identity, so compare the text
                     assert repr(pickle.loads(pickle.dumps(v, protocol))) == repr(v)
         equal_pairs = 0
         for i, j in itertools.product(range(len(values)), repeat=2):

@@ -26,7 +26,7 @@ from treesearch import (
     x3c_brute,
 )
 from treesearch.model import DecisionNode, InputTree, Leaf, Query
-from treesearch.reduction import ReductionOutput, _reduction_weights, build, pi_set_groups
+from treesearch.reduction import ReductionOutput, _cost_fold, _reduction_weights, build, pi_set_groups
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +346,20 @@ class TestReferenceRealization:
         assert inst.m == 10 and inst.universe_size == 12
         assert x3c_brute(inst) or not planted
         self.check(inst, variant)
+
+    @pytest.mark.parametrize("variant", ["diam4", "deg16"])
+    @pytest.mark.parametrize("q, m", [(2, 5), (3, 7), (4, 9)])
+    def test_sweep_fold_on_every_spec(self, q, m, variant):
+        # The fold that decide_cover's sweep builds once and feeds spec bit
+        # masks, against the cost of each realization's tree.
+        for planted in (True, False):
+            inst = seeded_family(900 + q, planted, q, m)
+            assert inst.m == m and inst.universe_size == 3 * q
+            red = build(inst, variant)
+            fold = _cost_fold(red)
+            for bits in range(1 << m):
+                spec = frozenset(i for i in range(m) if bits >> i & 1)
+                assert fold(bits) == cost(realization(red, spec), red.instance), (q, planted, spec)
 
 
 # The two builders as they stood before ``build`` held one layout for both
