@@ -40,6 +40,7 @@ from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
 from .model import (
     DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, build_decision_tree, cost as dt_cost,
+    validate,
 )
 
 if TYPE_CHECKING:
@@ -226,13 +227,13 @@ class _PBSolver:
                     pos = (un & -un).bit_length() - 1
                     result = ((pos + 1) * self.tree.weight[v], ("base", pos))
                 else:
-                    result = self._case_tree(v, len(kids), length, blocked, un)
+                    result = self._case_tree(v, len(kids), blocked, un)
             else:
                 result = self._case_forest(fid[1], fid[2], length, blocked, un)
         memo[key] = result
         return result
 
-    def _case_tree(self, v: int, deg: int, length: int, blocked: int, un: int):
+    def _case_tree(self, v: int, deg: int, blocked: int, un: int):
         B = self.B
         wv = self.tree.weight[v]
         best = None
@@ -345,6 +346,8 @@ def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Opt
     length, blocked = _plp_to_bits(plp)
     if length > budget:
         raise ValueError(f"|P| = {length} exceeds the height budget {budget}")
+    if forest[0] not in ("T", "F") or not 0 <= forest[1] < tree.n:
+        raise ValueError(f"bad subforest {forest!r}: expected ('T', v) or ('F', u, f), 0 <= v, u < {tree.n}")
     if forest[0] == "F":
         u, f = forest[1], forest[2]
         if not 1 <= f <= len(tree.children[u]):
@@ -372,15 +375,15 @@ def height_bound(tree: InputTree) -> int:
     return (6 * d1 + 1) * logw + d1 * logn + 2
 
 
-def est_to_search_tree(est: ESTNode, tree: InputTree, check: bool = True) -> DecisionNode:
+def est_to_search_tree(est: ESTNode, tree: InputTree) -> DecisionNode:
     """Convert an EST for the whole tree into a search tree: left-delete the
-    internal node assigned to the root, right-delete every placeholder.
+    internal node assigned to the root, right-delete every placeholder. The
+    EST and the result are both validated.
 
     The result costs at most est_cost - w(root); equality holds when the
     root's query is the EST root and no placeholder sits above an assigned
     leaf."""
-    if check:
-        validate_est(est, tree).raise_if_invalid()
+    validate_est(est, tree).raise_if_invalid()
     root_id = tree.root
 
     def convert(node: Optional[ESTNode]):
@@ -402,10 +405,7 @@ def est_to_search_tree(est: ESTNode, tree: InputTree, check: bool = True) -> Dec
     out = build_decision_tree(est, convert)
     if out is None:
         raise InvalidDecisionTreeError(["EST converts to an empty search tree"])
-    if check:
-        from .model import validate
-
-        validate(out, tree).raise_if_invalid()
+    validate(out, tree).raise_if_invalid()
     return out
 
 
@@ -459,7 +459,7 @@ def optimal_bounded(
     tree: InputTree,
     budget: Optional[int] = None,
     cap: int = DEFAULT_HEIGHT_CAP,
-    ratio: int | Fraction = 1,
+    ratio: int | Fraction | float = 1,
 ) -> tuple[int, DecisionNode]:
     """Optimal search tree via the EST dynamic program, exact by default and
     within ``ratio`` of optimal when a ratio above 1 is accepted.
@@ -486,7 +486,8 @@ def optimal_bounded(
       ``deep_cost_bound`` is TH(B), the tall-Huffman cost of the weights.
 
     With the default ``ratio`` 1 the stop is c_B <= LB(B), and the result is
-    optimal. ``ratio`` is an int or a ``Fraction`` p/q >= 1, and the test
+    optimal. ``ratio`` is an int, ``Fraction`` or float p/q >= 1 (a float
+    counts as its exact binary value), and the test
     q * c_B <= p * LB(B) stays in integers (for p >= q it also accepts every
     c_B <= LB(B)). Weights are non-negative, so zero weights only weaken
     LB(B) and need no special case. TH(B) is a DP over the weights, O(n^4)
@@ -496,7 +497,7 @@ def optimal_bounded(
     below top together cost about half the run at top (more at small n,
     where fixed costs dominate).
     """
-    p, q = ratio.numerator, ratio.denominator
+    p, q = ratio.as_integer_ratio()
     if p < q:
         raise ValueError(f"accepted ratio {ratio} is below 1")
     deepen = range(0)

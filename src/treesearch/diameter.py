@@ -11,8 +11,17 @@ and querying the center edge leaves two stars. Some optimum isolates a
 heaviest-first prefix of both centers' leaves merged, so one scan over the
 A + B + 1 stopping points finds it in O(n log n) (see ``solve_diam3``).
 
-Both solvers work on the unrooted structure; queries are encoded against the
-instance's rooting (an edge is queried by its child endpoint).
+Both solvers classify a tree by its hubs, the nodes with two or more
+neighbours, read from the rooted structure (children plus parent). Every
+inner node of a path is a hub, and a longest path ends in two leaves, so it
+runs leaf, hubs, leaf; deleting the leaves of a tree leaves it connected, so
+the hubs form a subtree. Hence at most one hub means diameter <= 2 (a star,
+the hub its center). Exactly two hubs means diameter 3: they are adjacent,
+and each has a leaf beyond the other, so they are the two centers. Three or
+more hubs contain a path of three hubs, and each end hub has one more
+neighbour off that path, which gives a path of four edges: diameter >= 4.
+Queries are encoded against the instance's rooting (an edge is queried by
+its child endpoint).
 """
 
 from __future__ import annotations
@@ -23,47 +32,32 @@ from .errors import InvalidInstanceError
 from .model import DecisionNode, InputTree, Leaf, Query
 
 
-def _adjacency(tree: InputTree) -> list[list[int]]:
-    adj = [[] for _ in range(tree.n)]
-    for v in range(tree.n):
-        if v != tree.root:
-            adj[v].append(tree.parent[v])
-            adj[tree.parent[v]].append(v)
-    return adj
-
-
-def _farthest(adj, start: int) -> tuple[int, list[int]]:
-    """A node farthest from ``start`` and the BFS predecessor of every node."""
-    prev = [-1] * len(adj)
-    prev[start] = start
-    frontier = [start]
-    last = start
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if prev[v] == -1:
-                    prev[v] = u
-                    nxt.append(v)
-        if nxt:
-            last = nxt[0]
-        frontier = nxt
-    return last, prev
-
-
-def _diameter_path(adj) -> list[int]:
-    """The nodes of one longest path, end to end."""
-    a, _ = _farthest(adj, 0)
-    b, prev = _farthest(adj, a)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path
-
-
 def tree_diameter(tree: InputTree) -> int:
-    """Diameter of the unrooted tree (longest path, in edges)."""
-    return len(_diameter_path(_adjacency(tree))) - 1
+    """Diameter of the unrooted tree (longest path, in edges): the largest
+    sum, over all nodes, of the node's two tallest branches below it."""
+    height = [0] * tree.n  # edges on the longest downward path from each node
+    best = 0
+    for v in tree.postorder:
+        top = 0  # the tallest branch below v so far
+        for c in tree.children[v]:
+            branch = height[c] + 1
+            if top + branch > best:
+                best = top + branch
+            if branch > top:
+                top = branch
+        height[v] = top
+    return best
+
+
+def _hubs(tree: InputTree) -> list[int]:
+    """The nodes with two or more neighbours, in id order."""
+    parent, children = tree.parent, tree.children
+    return [v for v in range(tree.n) if len(children[v]) + (parent[v] != -1) >= 2]
+
+
+def _neighbours(tree: InputTree, v: int) -> tuple[int, ...]:
+    p = tree.parent[v]
+    return tree.children[v] if p == -1 else tree.children[v] + (p,)
 
 
 def _isolating_query(tree: InputTree, center: int, x: int, rest: DecisionNode) -> DecisionNode:
@@ -86,8 +80,8 @@ def _star_cost(tree: InputTree, center: int, leaves: list[int]) -> int:
     return total + len(leaves) * tree.weight[center]
 
 
-def _star(tree: InputTree, adj) -> tuple[int, DecisionNode]:
-    center = max(range(tree.n), key=lambda v: (len(adj[v]), -v))
+def _star(tree: InputTree, hubs: list[int]) -> tuple[int, DecisionNode]:
+    center = hubs[0] if hubs else 0  # with no hub, n <= 2 and either node will do
     others = sorted((v for v in range(tree.n) if v != center),
                     key=lambda v: (-tree.weight[v], v))
     return _star_cost(tree, center, others), _sequential_star(tree, center, others)
@@ -95,10 +89,10 @@ def _star(tree: InputTree, adj) -> tuple[int, DecisionNode]:
 
 def solve_star(tree: InputTree) -> tuple[int, DecisionNode]:
     """Exact optimum for diameter <= 2: isolate nodes in decreasing weight."""
-    adj = _adjacency(tree)
-    if len(_diameter_path(adj)) > 3:
+    hubs = _hubs(tree)
+    if len(hubs) > 1:
         raise InvalidInstanceError("solve_star requires diameter <= 2")
-    return _star(tree, adj)
+    return _star(tree, hubs)
 
 
 def solve_diam3(tree: InputTree, stats: Optional[dict] = None) -> tuple[int, DecisionNode]:
@@ -130,18 +124,17 @@ def solve_diam3(tree: InputTree, stats: Optional[dict] = None) -> tuple[int, Dec
     ``stats``, when given, receives {"states": <stopping points scanned>},
     which is A + B + 1 for A and B leaves on the two centers (n on a star).
     """
-    adj = _adjacency(tree)
-    path = _diameter_path(adj)
-    if len(path) > 4:
+    centers = _hubs(tree)  # with two hubs, r and r' in id order
+    if len(centers) > 2:
         raise InvalidInstanceError("solve_diam3 requires diameter <= 3")
-    if len(path) <= 3:
+    if len(centers) <= 1:
         if stats is not None:
             stats["states"] = tree.n
-        return _star(tree, adj)
+        return _star(tree, centers)
 
-    centers = sorted(path[1:3])  # path is leaf, center, center, leaf
     w = tree.weight
-    merged = sorted(((s, x) for s in (0, 1) for x in adj[centers[s]] if x != centers[1 - s]),
+    merged = sorted(((s, x) for s in (0, 1)
+                     for x in _neighbours(tree, centers[s]) if x != centers[1 - s]),
                     key=lambda sx: (-w[sx[1]], sx[0], sx[1]))
     sides = [[x for s, x in merged if s == side] for side in (0, 1)]
     rest = [w[c] + sum(w[x] for x in leaves) for c, leaves in zip(centers, sides)]

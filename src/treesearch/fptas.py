@@ -11,7 +11,7 @@ original weights, the result is (1 + eps)-optimal.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
 from .model import DecisionNode, InputTree, cost
@@ -49,13 +49,11 @@ def fptas(
     tree: InputTree,
     eps: Fraction | int | str,
     cap: int = DEFAULT_HEIGHT_CAP,
-    budget: Optional[int] = None,
 ) -> tuple[DecisionNode, int]:
     """(1 + eps)-approximate search tree, costed under the original weights.
 
-    The weights are scaled with eps/2 (``scale_weights``), and ``budget``
-    and ``cap`` pass to ``optimal_bounded`` on the scaled instance: an
-    explicit budget runs the DP once; the default deepens from
+    The weights are scaled with eps/2 (``scale_weights``), and ``cap``
+    passes to ``optimal_bounded`` on the scaled instance, which deepens from
     ceil(log2 n) + 1 and keeps the first result whose certified ratio is at
     most rho = (1 + eps) / (1 + eps/2).
 
@@ -71,5 +69,5 @@ def fptas(
     eps = _as_fraction(eps)
     half = eps / 2
     scaled = scale_weights(tree, half)
-    _, strategy = optimal_bounded(scaled, budget=budget, cap=cap, ratio=(1 + eps) / (1 + half))
+    _, strategy = optimal_bounded(scaled, cap=cap, ratio=(1 + eps) / (1 + half))
     return strategy, cost(strategy, tree)

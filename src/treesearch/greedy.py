@@ -8,8 +8,10 @@ toward the smallest node id. This is a polynomial 2-approximation.
 Each piece carries its own node list in global postorder, topmost node last,
 and a split walks only that list: once for the in-piece subtree weights, once
 to pick the query and once to partition the list into its YES and NO sides.
-Every node is walked once per piece that holds it, so the total work is
-O(sum of |piece|) = O(n*h), where h is the height of the greedy strategy.
+The partition reads the preorder intervals of ``InputTree``: v is on x's YES
+side iff pre[x] <= pre[v] < pre[x] + size[x]. Every node is walked once per
+piece that holds it, so the total work is O(sum of |piece|) = O(n*h), where
+h is the height of the greedy strategy.
 That is O(n log n) on balanced splits but quadratic on a star, where every
 query splits off a single leaf (and on any tree whose queries split off a few
 nodes at a time); ``solve --alg auto`` sends stars (diameter <= 3) to
@@ -22,24 +24,10 @@ from .model import DecisionNode, InputTree, Leaf, build_decision_tree
 
 
 def greedy(tree: InputTree) -> DecisionNode:
-    n = tree.n
     parent = tree.parent
     weight = tree.weight
-    post = tree.postorder
-    # v lies in T_x iff pre[x] <= pre[v] < pre[x] + size[x].
-    size = [1] * n
-    for v in post:
-        for c in tree.children[v]:
-            size[v] += size[c]
-    pre = [0] * n
-    stack = [tree.root]
-    k = 0
-    while stack:
-        v = stack.pop()
-        pre[v] = k
-        k += 1
-        stack += tree.children[v]
-    subw = [0] * n  # in-piece subtree weights, rewritten for each piece
+    pre, size = tree.pre, tree.size
+    subw = [0] * tree.n  # in-piece subtree weights, rewritten for each piece
 
     def split(nodes: list[int]):
         top = nodes[-1]
@@ -57,4 +45,4 @@ def greedy(tree: InputTree) -> DecisionNode:
         no = [v for v in nodes if not lo <= pre[v] < hi]
         return x, no, yes
 
-    return build_decision_tree(list(post), split)
+    return build_decision_tree(list(tree.postorder), split)

@@ -24,11 +24,15 @@ class InputTree:
     it defaults to ascending id order. The order is semantically irrelevant
     for costs but is part of instance identity (file round-trips preserve it)
     and fixes the child indexing used by the bounded-height DP.
+
+    ``pre`` numbers the nodes in one depth-first preorder and ``size`` counts
+    each subtree's nodes, so T_v holds exactly the nodes x with
+    pre[v] <= pre[x] < pre[v] + size[v].
     """
 
     __slots__ = (
-        "n", "root", "parent", "children", "weight",
-        "subtree_mask", "postorder", "depth", "total_weight", "max_children",
+        "n", "root", "parent", "children", "weight", "subtree_mask",
+        "pre", "size", "postorder", "depth", "total_weight", "max_children",
     )
 
     def __init__(
@@ -79,11 +83,13 @@ class InputTree:
 
         # Iterative DFS; also detects cycles / disconnected parent links.
         order = []
+        pre = [0] * n
         depth = [-1] * n
         depth[self.root] = 0
         stack = [self.root]
         while stack:
             u = stack.pop()
+            pre[u] = len(order)
             order.append(u)
             for c in self.children[u]:
                 depth[c] = depth[u] + 1
@@ -91,15 +97,19 @@ class InputTree:
         if len(order) != n:
             raise InvalidInstanceError("parent links do not form a single tree")
         self.depth = tuple(depth)
+        self.pre = tuple(pre)
         post = list(reversed(order))  # children before parents
         self.postorder = tuple(post)
         mask = [0] * n
+        size = [1] * n
         for u in post:
             m = 1 << u
             for c in self.children[u]:
                 m |= mask[c]
+                size[u] += size[c]
             mask[u] = m
         self.subtree_mask = tuple(mask)
+        self.size = tuple(size)
         self.total_weight = sum(self.weight)
         self.max_children = max(len(c) for c in self.children)
 
@@ -108,7 +118,7 @@ class InputTree:
 
     def in_subtree(self, x: int, v: int) -> bool:
         """True iff x lies in the subtree rooted at v."""
-        return bool(self.subtree_mask[v] >> x & 1)
+        return self.pre[v] <= self.pre[x] < self.pre[v] + self.size[v]
 
     def subtree_nodes(self, v: int) -> frozenset[int]:
         return frozenset(_bits(self.subtree_mask[v]))

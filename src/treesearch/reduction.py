@@ -42,7 +42,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import InvalidInstanceError, ResourceLimitError, TreeSearchError
-from .exact import opt_cost
+from .exact import DEFAULT_LIMIT, opt_cost
 from .model import DecisionNode, InputTree, Leaf, Query, _FrozenRecord, _Record, _set, cost, query_depths
 
 
@@ -140,14 +140,14 @@ def _gamma(inst: X3CInstance, pi: Sequence[PiItem], i: int, j: int) -> int:
 class ReductionOutput(_Record):
     """A generated tree-search instance with its role bookkeeping.
 
-    All weights stored on the instance are twice the recurrence's values
-    (``weights_doubled``), which keeps w(t_i) integral; costs, gaps and the
-    cover threshold scale by the same factor, so decisions are unchanged.
+    All weights stored on the instance are twice the recurrence's values,
+    which keeps w(t_i) integral; costs, gaps and the cover threshold scale
+    by the same factor, so decisions are unchanged.
     """
 
     __slots__ = (
         "instance", "variant", "x3c", "pi", "root", "r_nodes", "t_nodes", "s_nodes", "a_nodes",
-        "h_nodes", "z_nodes", "element_weight", "element_leaves", "big_w", "gammas", "weights_doubled",
+        "h_nodes", "z_nodes", "element_weight", "big_w", "gammas",
     )
 
     def __init__(
@@ -164,10 +164,8 @@ class ReductionOutput(_Record):
         h_nodes: tuple[int, ...],
         z_nodes: tuple[int, ...],
         element_weight: tuple[int, ...],  # doubled w(u_j)
-        element_leaves: tuple[tuple[int, ...], ...],
         big_w: tuple[int, ...],  # doubled W_{u_j}
         gammas: tuple[tuple[int, int, int], ...],
-        weights_doubled: bool = True,
     ):
         self.instance = instance
         self.variant = variant
@@ -181,10 +179,8 @@ class ReductionOutput(_Record):
         self.h_nodes = h_nodes
         self.z_nodes = z_nodes
         self.element_weight = element_weight
-        self.element_leaves = element_leaves
         self.big_w = big_w
         self.gammas = gammas
-        self.weights_doubled = weights_doubled
 
     def set_weight(self, i: int) -> int:
         """Doubled w(X_i): total element weight of set i."""
@@ -272,10 +268,6 @@ def build(inst: X3CInstance, variant: str) -> ReductionOutput:
             t_nodes[i] = add(r, wt[i])
             s_nodes[i] = tuple(add(r, ew[u]) for u in inst.sets[i])
             a_nodes[i] = tuple(add(h, wa[i]) for _ in range(4))
-    element_leaves: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for trip, leaves in zip(inst.sets, s_nodes):
-        for u, s in zip(trip, leaves):
-            element_leaves[u].append(s)
     return ReductionOutput(
         instance=InputTree(parent, weight),
         variant=variant,
@@ -289,7 +281,6 @@ def build(inst: X3CInstance, variant: str) -> ReductionOutput:
         h_nodes=tuple(h_nodes) if spine else (),
         z_nodes=tuple(z_nodes),
         element_weight=tuple(ew),
-        element_leaves=tuple(map(tuple, element_leaves)),
         big_w=tuple(big_w),
         gammas=tuple(gammas),
     )
@@ -473,13 +464,16 @@ def cost_gap(red: ReductionOutput, spec: Iterable[int]) -> int:
     return direct
 
 
+SWEEP_LIMIT = 20  # most sets decide_cover sweeps: 2^m realizations
+BRUTE_LIMIT = 25  # most sets x3c_brute searches
+
+
 def cover_threshold(red: ReductionOutput) -> int:
     """The doubled form of half the total element weight."""
     return sum(red.element_weight) // 2
 
 
-def decide_cover(red: ReductionOutput, enumerate_limit: int = 20,
-                 oracle_limit: int = 20) -> bool:
+def decide_cover(red: ReductionOutput) -> bool:
     """True iff the best realization's gap meets the cover threshold, i.e.
     iff the X3C instance has an exact cover.
 
@@ -490,16 +484,16 @@ def decide_cover(red: ReductionOutput, enumerate_limit: int = 20,
     winning spec's, whose cost must equal the fold minimum; either mismatch
     raises ``TreeSearchError``. When the instance is small enough the
     minimum is also cross-checked against the exhaustive solver (optimal
-    strategies are realizations).
+    strategies are realizations): up to ``exact.DEFAULT_LIMIT`` nodes.
 
     Work is predicted before the sweep: 2^m folds, so an m above
-    ``enumerate_limit`` is refused up front with ``ResourceLimitError``.
+    ``SWEEP_LIMIT`` is refused up front with ``ResourceLimitError``.
     Measured in-process (Python 3.11, 2-vCPU VM) on cyclic families
     {i, i+1, i+2} over 3 * ceil(m/3) elements, diam4 / deg16: 0.43 / 0.49 s
     at m = 14, 2.1 / 2.0 s at m = 16 and 8.2 / 8.7 s at m = 18, about x4.2
     per two sets; at the limit m = 20 that extrapolates to about 35 s."""
     m = red.x3c.m
-    if m > enumerate_limit:
+    if m > SWEEP_LIMIT:
         raise ResourceLimitError(f"{m} sets: 2^m realization sweep above the limit")
     tree = red.instance
     fold = _cost_fold(red)
@@ -516,8 +510,8 @@ def decide_cover(red: ReductionOutput, enumerate_limit: int = 20,
         raise TreeSearchError(
             f"realization fold minimum {best} disagrees with its tree's cost {winner}"
         )
-    if tree.n <= oracle_limit:
-        oracle_best, _ = opt_cost(tree, limit=oracle_limit)
+    if tree.n <= DEFAULT_LIMIT:
+        oracle_best, _ = opt_cost(tree)
         if oracle_best != best:
             raise TreeSearchError(
                 f"realization minimum {best} disagrees with the oracle {oracle_best}"
@@ -525,11 +519,11 @@ def decide_cover(red: ReductionOutput, enumerate_limit: int = 20,
     return d_a_cost - best >= cover_threshold(red)
 
 
-def x3c_brute(inst: X3CInstance, limit: int = 25) -> bool:
+def x3c_brute(inst: X3CInstance) -> bool:
     """Exhaustive exact-cover search (the independent referee for
-    decide_cover)."""
-    if inst.m > limit:
-        raise ResourceLimitError(f"{inst.m} sets exceed the brute-force limit {limit}")
+    decide_cover), refused above ``BRUTE_LIMIT`` sets."""
+    if inst.m > BRUTE_LIMIT:
+        raise ResourceLimitError(f"{inst.m} sets exceed the brute-force limit {BRUTE_LIMIT}")
     n = inst.universe_size
     masks = []
     for s in inst.sets:

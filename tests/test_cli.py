@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -357,3 +358,27 @@ def test_cli_import_graph():
     loaded = set(done.stdout.split())
     assert not {"dataclasses", "decimal", "fractions", "inspect", "json", "treesearch.gen"} & loaded
     assert {f"treesearch.{name}" for name in module.SPANS} <= loaded
+
+
+def test_recursion_limit_call_sites():
+    """Only the two recursive solvers still raise the interpreter's recursion
+    limit, a global side effect; any new caller of ``setrecursionlimit`` in
+    the library fails here."""
+    sites = []
+    for path in sorted((SRC / "treesearch").glob("*.py")):
+        scopes = []
+
+        def visit(node):
+            named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            if named:
+                scopes.append(node.name)
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name == "setrecursionlimit" or isinstance(node, ast.alias) and node.name == "setrecursionlimit":
+                sites.append(".".join([path.stem] + scopes))
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+            if named:
+                scopes.pop()
+
+        visit(ast.parse(path.read_text()))
+    assert sites == ["bounded_dp._PBSolver.__init__", "exact._Oracle.__init__"]

@@ -14,8 +14,8 @@ from treesearch import (
     tree_diameter,
     validate,
 )
-from treesearch.diameter import _adjacency, _diameter_path, _isolating_query, _sequential_star
-from treesearch.gen import path_tree, star_tree
+from treesearch.diameter import _isolating_query, _sequential_star
+from treesearch.gen import all_tree_shapes, path_tree, star_tree
 
 
 def double_broom(i: int, j: int, weights) -> InputTree:
@@ -30,6 +30,28 @@ def test_diameter():
     assert tree_diameter(star_tree(5)) == 2
     assert tree_diameter(path_tree(4)) == 3
     assert tree_diameter(path_tree(5)) == 4
+
+
+def test_diameter_and_refusals_match_brute_force():
+    # Every shape with n <= 9 rooted at every node: tree_diameter against all
+    # pairs of BFS distances, and each solver refuses exactly the trees above
+    # its diameter.
+    checked = 0
+    for n in range(1, 10):
+        for parents in all_tree_shapes(n):
+            for root in range(n):
+                t = _rerooted(parents, [1] * n, root)
+                diam = _brute_diameter(t)
+                assert tree_diameter(t) == diam, (parents, root)
+                for solver, top in ((solve_star, 2), (solve_diam3, 3)):
+                    if diam > top:
+                        with pytest.raises(InvalidInstanceError):
+                            solver(t)
+                    else:
+                        c, strategy = solver(t)
+                        assert cost(strategy, t) == c
+                checked += 1
+    assert checked == 4020
 
 
 def test_star_fixture(star4):
@@ -121,11 +143,9 @@ def _reference_diam3(tree):
     if diam <= 2:
         return solve_star(tree)
 
-    path = _diameter_path(_adjacency(tree))  # 4 nodes: leaf, center, center, leaf
-    c1, c2 = path[1], path[2]
-    r, rp = (c1, c2) if c1 < c2 else (c2, c1)
+    adj = _adjacency(tree.parent)
+    r, rp = [v for v in range(tree.n) if len(adj[v]) > 1]  # diameter 3: the two centers
     w = tree.weight
-    adj = _adjacency(tree)
     r_leaves = sorted((v for v in adj[r] if v != rp), key=lambda v: (-w[v], v))
     rp_leaves = sorted((v for v in adj[rp] if v != r), key=lambda v: (-w[v], v))
 
@@ -185,13 +205,35 @@ def _reference_diam3(tree):
     return total, strategy
 
 
-def _rerooted(parents, weights, root):
-    """The same unrooted tree and weights, rooted at ``root``."""
+def _adjacency(parents):
     adj = [[] for _ in parents]
     for v, p in enumerate(parents):
         if p != -1:
             adj[v].append(p)
             adj[p].append(v)
+    return adj
+
+
+def _brute_diameter(tree):
+    """The largest BFS distance over all pairs of nodes."""
+    adj = _adjacency(tree.parent)
+    best = 0
+    for start in range(tree.n):
+        dist = [-1] * tree.n
+        dist[start] = 0
+        queue = [start]
+        for u in queue:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        best = max(best, max(dist))
+    return best
+
+
+def _rerooted(parents, weights, root):
+    """The same unrooted tree and weights, rooted at ``root``."""
+    adj = _adjacency(parents)
     new = [None] * len(parents)
     new[root], stack = -1, [root]
     while stack:

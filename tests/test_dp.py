@@ -76,6 +76,12 @@ class TestBaseCase:
         assert solve_pb(t, ("T", 0), (B, B), 4) is None
 
 
+    @pytest.mark.parametrize("forest", [("T", -1), ("F", -2, 1), ("T", 3), ("X", 0)])
+    def test_bad_subforest_rejected(self, path3, forest):
+        with pytest.raises(ValueError, match="bad subforest"):
+            solve_pb(path3, forest, (U, U, U), 3)
+
+
 class TestSubproblems:
     def test_path_est_cost_and_conversion(self, path3):
         plp = (U, U, U, U)
@@ -248,6 +254,17 @@ class TestOptimalBounded:
                     assert c <= ratio * best, (parents, t.weight, ratio)
         with pytest.raises(ValueError):
             optimal_bounded(t, ratio=Fraction(1, 2))
+
+    def test_float_ratio_is_its_exact_fraction(self):
+        rng = random.Random(25)
+        for n in (6, 7):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, [rng.choice([0, 1, 2, 9]) for _ in range(n)])
+                c, strategy = optimal_bounded(t, ratio=1.5)
+                want_c, want = optimal_bounded(t, ratio=Fraction(3, 2))
+                assert c == want_c and format_decision_tree(strategy) == format_decision_tree(want)
+        with pytest.raises(ValueError, match="below 1"):
+            optimal_bounded(t, ratio=0.5)
 
 
 class TestDeepening:

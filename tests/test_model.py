@@ -26,7 +26,7 @@ from treesearch import (
     validate,
 )
 from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
-from treesearch.gen import random_tree
+from treesearch.gen import all_tree_shapes, random_tree
 from treesearch.model import Diagnostics, iter_nodes
 from treesearch.reduction import ReductionOutput, X3CInstance, build
 
@@ -57,6 +57,21 @@ class TestInstance:
         assert path3.subtree_mask[0] == 0b111
         assert path3.subtree_mask[1] == 0b110
         assert path3.in_subtree(2, 1) and not path3.in_subtree(0, 1)
+
+    def test_in_subtree_matches_masks_on_every_small_shape(self):
+        # Each shape with both child orders, so the preorder differs from the ids.
+        checked = 0
+        for n in range(1, 8):
+            for parents in all_tree_shapes(n):
+                plain = InputTree(parents, [1] * n)
+                flipped = InputTree(parents, [1] * n, [c[::-1] for c in plain.children])
+                for t in (plain, flipped):
+                    assert sorted(t.pre) == list(range(n))
+                    for v in range(n):
+                        for x in range(n):
+                            assert t.in_subtree(x, v) == bool(t.subtree_mask[v] >> x & 1), (parents, x, v)
+                    checked += 1
+        assert checked == 2 * 85
 
 
 class TestCost:
@@ -251,10 +266,8 @@ class _TwinReductionOutput:
     h_nodes: object
     z_nodes: object
     element_weight: object
-    element_leaves: object
     big_w: object
     gammas: object
-    weights_doubled: object = True
 
 
 _TWINS = {cls: globals()["_Twin" + cls.__name__]
@@ -292,7 +305,7 @@ def _samples(cls) -> list:
                 X3CInstance(universe_size=3, sets=((0, 1, 2),))]
     out = [build(inst, "diam4"), build(inst, "diam4"), build(inst, "deg16")]
     every = {f.name: getattr(out[0], f.name) for f in fields(_TwinReductionOutput)}
-    return out + [ReductionOutput(**dict(every, weights_doubled=False))]
+    return out + [ReductionOutput(**dict(every, variant="deg16"))]
 
 
 @pytest.mark.parametrize("cls", list(_TWINS), ids=lambda c: c.__name__)

@@ -101,7 +101,6 @@ class TestWeights:
     def test_m1_fixture(self, m1):
         red = build_T(m1)
         assert red.instance.n == 10
-        assert red.weights_doubled
         # Doubled values of 1, 6001, 36006001.
         assert red.element_weight == (2, 12002, 72012002)
         assert red.big_w == (0, 0, 0)
@@ -391,7 +390,6 @@ def _reference_build_T(inst: X3CInstance) -> ReductionOutput:
         t_nodes.append(t_i)
         s_nodes.append(s_i)
         a_nodes.append(a_i)
-    element_leaves = _reference_element_leaves(inst, s_nodes)
     return ReductionOutput(
         instance=InputTree(parent, weight),
         variant="diam4",
@@ -405,18 +403,9 @@ def _reference_build_T(inst: X3CInstance) -> ReductionOutput:
         h_nodes=(),
         z_nodes=(),
         element_weight=tuple(ew),
-        element_leaves=element_leaves,
         big_w=tuple(big_w),
         gammas=tuple(gammas),
     )
-
-
-def _reference_element_leaves(inst: X3CInstance, s_nodes) -> tuple[tuple[int, ...], ...]:
-    out = [[] for _ in range(inst.universe_size)]
-    for i, s in enumerate(inst.sets):
-        for j, u in enumerate(s):
-            out[u].append(s_nodes[i][j])
-    return tuple(tuple(x) for x in out)
 
 
 def _reference_build_Tb(inst: X3CInstance) -> ReductionOutput:
@@ -476,7 +465,6 @@ def _reference_build_Tb(inst: X3CInstance) -> ReductionOutput:
             s_nodes[i] = tuple(s_i)
             a_nodes[i] = tuple(a_i)
     assert nxt == size
-    element_leaves = _reference_element_leaves(inst, s_nodes)
     return ReductionOutput(
         instance=InputTree(parent, weight),
         variant="deg16",
@@ -490,7 +478,6 @@ def _reference_build_Tb(inst: X3CInstance) -> ReductionOutput:
         h_nodes=tuple(h_nodes),
         z_nodes=tuple(z_nodes),
         element_weight=tuple(ew),
-        element_leaves=element_leaves,
         big_w=tuple(big_w),
         gammas=tuple(gammas),
     )
@@ -520,7 +507,7 @@ class TestReferenceBuilders:
     def test_slots_name_every_field(self):
         # ``check`` compares the fields that ``__slots__`` names.
         fields = ReductionOutput.__slots__
-        assert len(set(fields)) == 16 and fields == tuple(inspect.signature(ReductionOutput).parameters)
+        assert len(set(fields)) == 14 and fields == tuple(inspect.signature(ReductionOutput).parameters)
 
     @staticmethod
     def check(inst):
