@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Optional, Union
 from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
 from .model import (
-    DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, build_decision_tree, cost as dt_cost,
-    validate,
+    DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, _bits, build_decision_tree,
+    cost as dt_cost, validate,
 )
 
 if TYPE_CHECKING:
@@ -103,7 +103,8 @@ def est_cost(root: ESTNode, tree: InputTree, forest_mask: Optional[int] = None) 
     total = 0
     for node, d in est_iter(root):
         a = node.assignment
-        if node.left is None and node.right is None and isinstance(a, int) and forest_mask >> a & 1:
+        is_leaf = node.left is None and node.right is None
+        if is_leaf and isinstance(a, int) and 0 <= a < tree.n and forest_mask >> a & 1:
             total += d * tree.weight[a]
     return total
 
@@ -131,40 +132,35 @@ def est_compatible(root: ESTNode, plp: PLP) -> bool:
 
 def forest_mask(tree: InputTree, fid: SubforestId) -> int:
     """Node-set mask of a subforest id."""
-    if fid[0] == "T":
-        return tree.subtree_mask[fid[1]]
-    u, f = fid[1], fid[2]
-    m = 0
-    for c in tree.children[u][:f]:
-        m |= tree.subtree_mask[c]
-    return m
+    tops = [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]
+    return sum(1 << v for top in tops for v in tree.subtree_nodes(top))
 
 
 def validate_est(root: ESTNode, tree: InputTree, forest_mask: Optional[int] = None) -> Diagnostics:
     """Check EST properties: one leaf and one internal node per forest node,
     the search property among assigned nodes, and no right child under
-    placeholders."""
-    if forest_mask is None:
-        forest_mask = tree.full_mask()
+    placeholders. Like ``validate``, it masks preorder positions."""
+    n, pre, size, full = tree.n, tree.pre, tree.size, tree.full_mask()
+    forest = full if forest_mask is None else sum(1 << pre[v] for v in _bits(forest_mask & full))
     violations = []
     leaves: dict[int, int] = {}
     internals: dict[int, int] = {}
-    stack = [(root, forest_mask)]
+    stack = [(root, forest)]
     while stack:
         node, allowed = stack.pop()
         a = node.assignment
         is_leaf = node.left is None and node.right is None
         if isinstance(a, int):
-            if not forest_mask >> a & 1:
+            if not (0 <= a < n and forest >> pre[a] & 1):
                 violations.append(f"assignment {a} outside the forest")
                 continue
-            if not allowed >> a & 1:
+            if not allowed >> pre[a] & 1:
                 violations.append(f"node assigned {a} violates the search property")
             if is_leaf:
                 leaves[a] = leaves.get(a, 0) + 1
             else:
                 internals[a] = internals.get(a, 0) + 1
-            sub = tree.subtree_mask[a]
+            sub = ((1 << size[a]) - 1) << pre[a]
             if node.right is not None:
                 stack.append((node.right, allowed & sub))
             if node.left is not None:
@@ -176,8 +172,8 @@ def validate_est(root: ESTNode, tree: InputTree, forest_mask: Optional[int] = No
                 stack.append((node.left, allowed))
         else:
             violations.append(f"unexpected assignment {a!r}")
-    for v in range(tree.n):
-        if forest_mask >> v & 1:
+    for v in range(n):
+        if forest >> pre[v] & 1:
             if leaves.get(v, 0) != 1:
                 violations.append(f"node {v} appears as a leaf {leaves.get(v, 0)} times")
             if internals.get(v, 0) != 1:

@@ -44,10 +44,18 @@ from .model import DecisionNode, InputTree, Leaf, Query, _bits, cost as dt_cost
 DEFAULT_LIMIT = 20
 
 
-def _splits(tree: InputTree, piece: int) -> Iterator[tuple[int, int]]:
+def _subtree_masks(tree: InputTree) -> list[int]:
+    """Each T_v as an n-bit mask keyed by node id: O(n^2) bits, so only the oracle builds them."""
+    mask = [1 << v for v in range(tree.n)]
+    for u in tree.postorder:  # children before parents
+        for c in tree.children[u]:
+            mask[u] |= mask[c]
+    return mask
+
+
+def _splits(sub: list[int], piece: int) -> Iterator[tuple[int, int]]:
     """(x, inside) for each informative query x on ``piece``, by ascending id;
-    ``inside`` is the part of the piece in x's subtree (the YES side)."""
-    sub = tree.subtree_mask
+    ``inside`` is the part of the piece in x's subtree ``sub[x]`` (the YES side)."""
     m = piece
     while m:
         b = m & -m
@@ -65,7 +73,7 @@ class _Oracle:
                 f"instance has {tree.n} nodes, above the exact-solver limit {limit}"
             )
         self.tree = tree
-        self.sub = tree.subtree_mask
+        self.sub = _subtree_masks(tree)
         self.exact: dict[int, int] = {}  # piece -> optimal cost
         self.lower: dict[int, int] = {}  # piece -> proven lower bound, Huffman at first
         self.first: dict[int, int] = {}  # piece -> smallest optimal first query
@@ -97,7 +105,7 @@ class _Oracle:
             return lb
         total = self.tree.mask_weight(piece)
         order = sorted((self._lb(inside) + self._lb(piece ^ inside), inside)
-                       for _, inside in _splits(self.tree, piece))
+                       for _, inside in _splits(self.sub, piece))
         best = ub - total  # the two sides must cost less than this together
         found = False
         for bound, inside in order:
@@ -150,13 +158,13 @@ class _Oracle:
         if x is None:
             target = c - self.tree.mask_weight(piece)
             x = self.first[piece] = next(
-                x for x, inside in _splits(self.tree, piece) if self._hits(piece, inside, target))
+                x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target))
         return c, x
 
     def argmins(self, piece: int) -> list[int]:
         """Every optimal first query on ``piece``, by ascending id."""
         target = self.cost(piece) - self.tree.mask_weight(piece)  # both sides' optimal cost
-        return [x for x, inside in _splits(self.tree, piece) if self._hits(piece, inside, target)]
+        return [x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target)]
 
     def min_height(self, piece: int) -> int:
         """Smallest height among the optimal decision trees of ``piece``.
@@ -208,12 +216,13 @@ def enumerate_decision_trees(tree: InputTree, piece: Optional[int] = None) -> It
     """Every valid decision tree for the instance; only sane for n <= 6."""
     if piece is None:
         piece = tree.full_mask()
+    sub = _subtree_masks(tree)
 
     def gen(mask: int) -> Iterator[DecisionNode]:
         if mask & (mask - 1) == 0:
             yield Leaf(mask.bit_length() - 1)
             return
-        for x, inside in _splits(tree, mask):
+        for x, inside in _splits(sub, mask):
             for no_side in gen(mask ^ inside):
                 for yes_side in gen(inside):
                     yield Query(x, no_side, yes_side)

@@ -35,6 +35,8 @@ def parse_instance(text: str) -> InputTree:
         raise InvalidInstanceError(f"line {lineno}: expected integers 'n root_id'") from None
     if n <= 0:
         raise InvalidInstanceError(f"line {lineno}: n must be positive")
+    if not 0 <= root < n:
+        raise InvalidInstanceError(f"line {lineno}: root id {root} out of range 0..{n - 1}")
     if len(rows) - 1 != n:
         raise InvalidInstanceError(f"expected {n} node lines, found {len(rows) - 1}")
     parent = [None] * n

@@ -27,11 +27,12 @@ class InputTree:
 
     ``pre`` numbers the nodes in one depth-first preorder and ``size`` counts
     each subtree's nodes, so T_v holds exactly the nodes x with
-    pre[v] <= pre[x] < pre[v] + size[v].
+    pre[v] <= pre[x] < pre[v] + size[v]. Subtrees are stored only as these
+    intervals (``postorder`` is the preorder reversed), so memory is O(n).
     """
 
     __slots__ = (
-        "n", "root", "parent", "children", "weight", "subtree_mask",
+        "n", "root", "parent", "children", "weight",
         "pre", "size", "postorder", "depth", "total_weight", "max_children",
     )
 
@@ -100,15 +101,10 @@ class InputTree:
         self.pre = tuple(pre)
         post = list(reversed(order))  # children before parents
         self.postorder = tuple(post)
-        mask = [0] * n
         size = [1] * n
         for u in post:
-            m = 1 << u
             for c in self.children[u]:
-                m |= mask[c]
                 size[u] += size[c]
-            mask[u] = m
-        self.subtree_mask = tuple(mask)
         self.size = tuple(size)
         self.total_weight = sum(self.weight)
         self.max_children = max(len(c) for c in self.children)
@@ -121,7 +117,8 @@ class InputTree:
         return self.pre[v] <= self.pre[x] < self.pre[v] + self.size[v]
 
     def subtree_nodes(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.subtree_mask[v]))
+        end = self.n - self.pre[v]
+        return frozenset(self.postorder[end - self.size[v]:end])
 
     def mask_weight(self, mask: int) -> int:
         return sum(self.weight[v] for v in _bits(mask))
@@ -362,14 +359,17 @@ def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = N
     Properties checked: every internal node has both children; leaf
     assignments are a bijection onto the piece; and the search property --
     below a YES branch only nodes of the queried subtree may appear, below a
-    NO branch none of them may.
+    NO branch none of them may. Permitted nodes are a mask over preorder
+    positions: T_q is ``size[q]`` bits from ``pre[q]``, the whole tree n bits.
     """
+    pre, size = tree.pre, tree.size
     if piece is None:
         piece = NodePiece.whole(tree)
+    start = piece.mask if len(piece.nodes) == tree.n else sum(1 << pre[v] for v in piece.nodes)
     violations: list[str] = []
     seen: dict[int, int] = {}
-    # stack entries: (node, allowed-mask of assignments permitted here)
-    stack = [(root, piece.mask)]
+    # stack entries: (node, preorder mask of assignments permitted here)
+    stack = [(root, start)]
     if root is None:
         return Diagnostics(False, ["empty decision tree"])
     while stack:
@@ -380,18 +380,18 @@ def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = N
                 violations.append(f"leaf id {v} out of range")
                 continue
             seen[v] = seen.get(v, 0) + 1
-            if not allowed >> v & 1:
+            if not allowed >> pre[v] & 1:
                 violations.append(f"leaf {v} violates the search property on its root path")
         elif isinstance(node, Query):
             q = node.query
             if not 0 <= q < tree.n:
                 violations.append(f"query id {q} out of range")
                 continue
-            if not allowed >> q & 1:
+            if not allowed >> pre[q] & 1:
                 violations.append(f"query {q} violates the search property on its root path")
             if node.no is None or node.yes is None:
                 violations.append(f"query {q} is missing a child")
-            sub = tree.subtree_mask[q]
+            sub = ((1 << size[q]) - 1) << pre[q]
             if node.yes is not None:
                 stack.append((node.yes, allowed & sub))
             if node.no is not None:

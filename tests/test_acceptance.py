@@ -37,6 +37,7 @@ from treesearch import (
     x3c_brute,
 )
 from treesearch.bounded_dp import height_bound
+from treesearch.exact import _subtree_masks
 from treesearch.gen import (
     all_tree_shapes,
     one_heavy_weights,
@@ -134,13 +135,14 @@ def test_criterion_04_height_bound_and_geometric_decrease(suite9):
 
 def _check_geo_decrease(tree, strategy):
     threshold = 6 * (tree.max_children + 1) + 1
+    subtree_mask = _subtree_masks(tree)
     stack = [(strategy, 0, tree.full_mask())]
     while stack:
         node, d, piece = stack.pop()
         if d >= threshold:
             assert 2 * tree.mask_weight(piece) <= tree.total_weight, (tree.parent, tree.weight, d)
         if isinstance(node, Query):
-            sub = tree.subtree_mask[node.query]
+            sub = subtree_mask[node.query]
             stack.append((node.no, d + 1, piece & ~sub))
             stack.append((node.yes, d + 1, piece & sub))
 

@@ -93,6 +93,14 @@ class TestSolve:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("root", [7, -3])
+    def test_root_id_out_of_range(self, capsys, tmp_path, root):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"2 {root}\n0 1 1\n1 0 1\n")
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 2
+        assert "line 1" in err and "Traceback" not in err
+
     def test_resource_cap(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         for n in (21, 40):
@@ -360,10 +368,9 @@ def test_cli_import_graph():
     assert {f"treesearch.{name}" for name in module.SPANS} <= loaded
 
 
-def test_recursion_limit_call_sites():
-    """Only the two recursive solvers still raise the interpreter's recursion
-    limit, a global side effect; any new caller of ``setrecursionlimit`` in
-    the library fails here."""
+def _call_sites(wanted):
+    """The scopes in ``src/treesearch`` (module, then classes and functions)
+    that name ``wanted``, as a call, an attribute or an import."""
     sites = []
     for path in sorted((SRC / "treesearch").glob("*.py")):
         scopes = []
@@ -373,7 +380,7 @@ def test_recursion_limit_call_sites():
             if named:
                 scopes.append(node.name)
             name = getattr(node, "attr", None) or getattr(node, "id", None)
-            if name == "setrecursionlimit" or isinstance(node, ast.alias) and node.name == "setrecursionlimit":
+            if name == wanted or isinstance(node, ast.alias) and node.name == wanted:
                 sites.append(".".join([path.stem] + scopes))
             for child in ast.iter_child_nodes(node):
                 visit(child)
@@ -381,4 +388,18 @@ def test_recursion_limit_call_sites():
                 scopes.pop()
 
         visit(ast.parse(path.read_text()))
-    assert sites == ["bounded_dp._PBSolver.__init__", "exact._Oracle.__init__"]
+    return sites
+
+
+def test_recursion_limit_call_sites():
+    """Only the two recursive solvers still raise the interpreter's recursion
+    limit, a global side effect; any new caller of ``setrecursionlimit`` in
+    the library fails here."""
+    assert _call_sites("setrecursionlimit") == ["bounded_dp._PBSolver.__init__", "exact._Oracle.__init__"]
+
+
+def test_subtree_mask_call_sites():
+    """The n-bit subtree masks take O(n^2) bits, so only the exact oracle,
+    whose n is capped by its node limit, and its enumerator may build them;
+    the polynomial solvers and validation use preorder intervals."""
+    assert _call_sites("_subtree_masks") == ["exact._Oracle.__init__", "exact.enumerate_decision_trees"]

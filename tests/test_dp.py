@@ -35,7 +35,9 @@ from treesearch import (
 from treesearch import bounded_dp
 from treesearch.bounds import huffman, tall_huffman
 from treesearch.bounded_dp import forest_mask
+from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, seeded_weights, unit_weights
+from treesearch.model import Diagnostics
 
 U, B = UNASSIGNED, BLOCKED
 
@@ -51,6 +53,65 @@ def all_plps(max_len):
     for length in range(1, max_len + 1):
         for cells in itertools.product((U, B), repeat=length):
             yield cells
+
+
+def _reference_validate_est(root, tree, forest_mask=None):
+    """``validate_est`` on n-bit subtree masks keyed by node id, as it was
+    before the preorder-position masks, except that an assignment outside
+    0..n-1 counts as outside the forest (a negative one made the id shift
+    raise); both must give the same ``Diagnostics``."""
+    if forest_mask is None:
+        forest_mask = tree.full_mask()
+    sub_masks = _subtree_masks(tree)
+    violations = []
+    leaves = {}
+    internals = {}
+    stack = [(root, forest_mask)]
+    while stack:
+        node, allowed = stack.pop()
+        a = node.assignment
+        is_leaf = node.left is None and node.right is None
+        if isinstance(a, int):
+            if not (0 <= a < tree.n and forest_mask >> a & 1):
+                violations.append(f"assignment {a} outside the forest")
+                continue
+            if not allowed >> a & 1:
+                violations.append(f"node assigned {a} violates the search property")
+            if is_leaf:
+                leaves[a] = leaves.get(a, 0) + 1
+            else:
+                internals[a] = internals.get(a, 0) + 1
+            sub = sub_masks[a]
+            if node.right is not None:
+                stack.append((node.right, allowed & sub))
+            if node.left is not None:
+                stack.append((node.left, allowed & ~sub))
+        elif a is BLOCKED or a is UNASSIGNED:
+            if node.right is not None:
+                violations.append("placeholder node has a right child")
+            if node.left is not None:
+                stack.append((node.left, allowed))
+        else:
+            violations.append(f"unexpected assignment {a!r}")
+    for v in range(tree.n):
+        if forest_mask >> v & 1:
+            if leaves.get(v, 0) != 1:
+                violations.append(f"node {v} appears as a leaf {leaves.get(v, 0)} times")
+            if internals.get(v, 0) != 1:
+                violations.append(f"node {v} appears as an internal node {internals.get(v, 0)} times")
+    return Diagnostics(not violations, violations)
+
+
+def _est_mutants(node, n):
+    """ESTs one edit away from ``node``: its assignment set to an id in -1..n,
+    a placeholder or a foreign value, its children swapped, or one removed."""
+    a, left, right = node.assignment, node.left, node.right
+    yield from (ESTNode(b, left, right) for b in (*range(-1, n + 1), B, U, "x"))
+    yield from (ESTNode(a, right, left), ESTNode(a, None, right), ESTNode(a, left, None))
+    if left is not None:
+        yield from (ESTNode(a, m, right) for m in _est_mutants(left, n))
+    if right is not None:
+        yield from (ESTNode(a, left, m) for m in _est_mutants(right, n))
 
 
 class TestBaseCase:
@@ -140,6 +201,40 @@ class TestSubproblems:
                 assert est_height(sol.est) <= budget
                 assert validate_est(sol.est, t).ok
                 assert est_cost(sol.est, t) == sol.cost
+
+
+class TestValidateEst:
+    def test_matches_reference_on_every_small_shape(self):
+        # The DP's EST for every subforest of every shape with n <= 5 (both
+        # child orders), each EST one edit away from it, each checked against
+        # its own forest and the whole tree.
+        checked = 0
+        for n in range(1, 6):
+            for parents in all_tree_shapes(n):
+                plain = InputTree(parents, seeded_weights(n, n))
+                flipped = InputTree(parents, plain.weight, [c[::-1] for c in plain.children])
+                for t in (plain, flipped):
+                    fids = [("T", v) for v in range(n)]
+                    fids += [("F", u, f) for u in range(n) for f in range(1, len(t.children[u]) + 1)]
+                    for fid in fids:
+                        est = solve_pb(t, fid, (U,) * (n + 1), n + 1).est
+                        for case in (est, *_est_mutants(est, n)):
+                            for mask in (forest_mask(t, fid), None):
+                                assert validate_est(case, t, mask) == _reference_validate_est(case, t, mask), \
+                                    (t.parent, fid, case)
+                                checked += 1
+        assert checked > 10**4
+
+    def test_assignment_outside_the_tree(self):
+        # Any id outside 0..n-1 is outside the forest, even where the
+        # forest mask has that bit set; est_cost skips such a leaf.
+        t = InputTree([-1, 0], [1, 1])
+        for a in (-1, -3, 2, 5):
+            for mask in (None, 0b11, 0b100111):
+                diag = validate_est(ESTNode(a), t, mask)
+                assert not diag.ok and diag.violations[0] == f"assignment {a} outside the forest"
+                assert est_cost(ESTNode(0, ESTNode(a), ESTNode(1)), t, mask) == 1
+                assert est_cost(ESTNode(a), t, mask) == 0
 
 
 class TestConversion:

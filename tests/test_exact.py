@@ -18,7 +18,7 @@ from treesearch import (
     validate,
 )
 from treesearch import bounded_dp
-from treesearch.exact import _Oracle, _splits
+from treesearch.exact import _Oracle, _splits, _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
 
 
@@ -27,7 +27,7 @@ def _reference_oracle(tree):
     expanded, and ties break toward the smallest query id. Returns (cost,
     strategy text, optimal first queries, least height among optimal
     strategies); the branch-and-bound oracle must give the same four."""
-    sub = tree.subtree_mask
+    sub = _subtree_masks(tree)
     memo = {}
     heights = {}
 
@@ -40,7 +40,7 @@ def _reference_oracle(tree):
             return memo[piece]
         best = None
         best_x = -1
-        for x, inside in _splits(tree, piece):
+        for x, inside in _splits(sub, piece):
             c = solve(inside)[0] + solve(piece ^ inside)[0]
             if best is None or c < best:
                 best, best_x = c, x
@@ -49,7 +49,7 @@ def _reference_oracle(tree):
 
     def argmins(piece):
         below = solve(piece)[0] - tree.mask_weight(piece)
-        return [x for x, inside in _splits(tree, piece)
+        return [x for x, inside in _splits(sub, piece)
                 if solve(inside)[0] + solve(piece ^ inside)[0] == below]
 
     def min_height(piece):
@@ -156,6 +156,7 @@ def _reference_restricted_height(tree, height):
     """Optimal cost among decision trees of height <= ``height``, or None
     when none fits (fewer than 2**height leaves): an exhaustive search over
     (piece, height) pairs, independent of the branch and bound."""
+    sub = _subtree_masks(tree)
     memo = {}
 
     def solve(piece, h):
@@ -167,7 +168,7 @@ def _reference_restricted_height(tree, height):
         key = (piece, h)
         if key not in memo:
             best = None
-            for _, inside in _splits(tree, piece):
+            for _, inside in _splits(sub, piece):
                 a = solve(inside, h - 1)
                 if a is None:
                     continue

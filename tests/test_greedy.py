@@ -12,6 +12,7 @@ from treesearch import (
     restrict,
     validate,
 )
+from treesearch.exact import _subtree_masks
 from treesearch.gen import (
     all_tree_shapes,
     complete_dary_tree,
@@ -30,7 +31,7 @@ def _reference_greedy(tree):
     post = tree.postorder
     children = tree.children
     weight = tree.weight
-    sub = tree.subtree_mask
+    sub = _subtree_masks(tree)
 
     def split(item):
         piece, top = item

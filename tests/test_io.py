@@ -43,6 +43,12 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("2 0\n0 -1 x\n1 0 1\n")
 
 
+@pytest.mark.parametrize("root", [2, 7, -1, -3])
+def test_root_id_out_of_range_rejected(root):
+    with pytest.raises(InvalidInstanceError, match=f"line 1: root id {root} out of range 0..1"):
+        parse_instance(f"2 {root}\n0 1 1\n1 0 1\n")
+
+
 def test_duplicate_node_line_rejected():
     with pytest.raises(InvalidInstanceError, match="twice"):
         parse_instance("2 0\n0 -1 1\n0 -1 1\n")

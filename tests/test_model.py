@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 import sys
+import tracemalloc
 from dataclasses import MISSING, dataclass, fields
 
 import pytest
@@ -14,6 +15,7 @@ from treesearch import (
     NodePiece,
     Query,
     cost,
+    enumerate_decision_trees,
     format_decision_tree,
     greedy,
     leaf_depths,
@@ -26,9 +28,100 @@ from treesearch import (
     validate,
 )
 from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
+from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, random_tree
 from treesearch.model import Diagnostics, iter_nodes
 from treesearch.reduction import ReductionOutput, X3CInstance, build
+
+
+def _every_small_tree(max_n):
+    """Every shape with at most ``max_n`` nodes, with its children in id order
+    and reversed, so that the preorder differs from the ids."""
+    for n in range(1, max_n + 1):
+        for parents in all_tree_shapes(n):
+            plain = InputTree(parents, [1] * n)
+            yield plain
+            yield InputTree(parents, [1] * n, [c[::-1] for c in plain.children])
+
+
+def _ancestor_masks(tree):
+    """Each T_v as an n-bit mask keyed by node id, from the parent links alone."""
+    masks = [0] * tree.n
+    for x in range(tree.n):
+        v = x
+        while v != -1:
+            masks[v] |= 1 << x
+            v = tree.parent[v]
+    return masks
+
+
+def _reference_validate(root, tree, piece=None):
+    """``validate`` on n-bit subtree masks keyed by node id, as it was before
+    the preorder-position masks; both must give the same ``Diagnostics``."""
+    if piece is None:
+        piece = NodePiece.whole(tree)
+    sub_masks = _subtree_masks(tree)
+    violations = []
+    seen = {}
+    stack = [(root, piece.mask)]
+    if root is None:
+        return Diagnostics(False, ["empty decision tree"])
+    while stack:
+        node, allowed = stack.pop()
+        if isinstance(node, Leaf):
+            v = node.node
+            if not 0 <= v < tree.n:
+                violations.append(f"leaf id {v} out of range")
+                continue
+            seen[v] = seen.get(v, 0) + 1
+            if not allowed >> v & 1:
+                violations.append(f"leaf {v} violates the search property on its root path")
+        elif isinstance(node, Query):
+            q = node.query
+            if not 0 <= q < tree.n:
+                violations.append(f"query id {q} out of range")
+                continue
+            if not allowed >> q & 1:
+                violations.append(f"query {q} violates the search property on its root path")
+            if node.no is None or node.yes is None:
+                violations.append(f"query {q} is missing a child")
+            sub = sub_masks[q]
+            if node.yes is not None:
+                stack.append((node.yes, allowed & sub))
+            if node.no is not None:
+                stack.append((node.no, allowed & ~sub))
+        else:
+            violations.append(f"unexpected node type {type(node).__name__}")
+    for v in piece.nodes:
+        if v not in seen:
+            violations.append(f"no leaf identifies node {v}")
+    for v, k in seen.items():
+        if k > 1:
+            violations.append(f"node {v} identified by {k} leaves")
+        if v not in piece.nodes:
+            violations.append(f"leaf {v} is outside the instance piece")
+    return Diagnostics(not violations, violations)
+
+
+def _mutants(node, n):
+    """Strategies one edit away from ``node``: a leaf or query id set to
+    another value in -1..n, a query's sides swapped, one side removed or
+    replaced by a foreign object."""
+    if isinstance(node, Leaf):
+        yield from (Leaf(v) for v in range(-1, n + 1) if v != node.node)
+        return
+    q, no, yes = node.query, node.no, node.yes
+    yield from (Query(v, no, yes) for v in range(-1, n + 1) if v != q)
+    yield from (Query(q, yes, no), Query(q, None, yes), Query(q, no, None), Query(q, no, "leaf"))
+    yield from (Query(q, m, yes) for m in _mutants(no, n))
+    yield from (Query(q, no, m) for m in _mutants(yes, n))
+
+
+def _swap_leaves(node, a, b):
+    """``node`` with the leaves of a and b exchanged."""
+    if isinstance(node, Leaf):
+        return Leaf({a: b, b: a}.get(node.node, node.node))
+    return Query(node.query, _swap_leaves(node.no, a, b), _swap_leaves(node.yes, a, b))
 
 
 def seq_star_tree():
@@ -54,24 +147,40 @@ class TestInstance:
         assert t.children[0] == (2, 1)
 
     def test_subtree_masks(self, path3):
-        assert path3.subtree_mask[0] == 0b111
-        assert path3.subtree_mask[1] == 0b110
+        assert _subtree_masks(path3)[0] == 0b111
+        assert _subtree_masks(path3)[1] == 0b110
         assert path3.in_subtree(2, 1) and not path3.in_subtree(0, 1)
 
     def test_in_subtree_matches_masks_on_every_small_shape(self):
-        # Each shape with both child orders, so the preorder differs from the ids.
+        # in_subtree, subtree_nodes and the oracle's masks all read T_v as the
+        # parent links define it.
         checked = 0
-        for n in range(1, 8):
-            for parents in all_tree_shapes(n):
-                plain = InputTree(parents, [1] * n)
-                flipped = InputTree(parents, [1] * n, [c[::-1] for c in plain.children])
-                for t in (plain, flipped):
-                    assert sorted(t.pre) == list(range(n))
-                    for v in range(n):
-                        for x in range(n):
-                            assert t.in_subtree(x, v) == bool(t.subtree_mask[v] >> x & 1), (parents, x, v)
-                    checked += 1
+        for t in _every_small_tree(7):
+            n = t.n
+            assert sorted(t.pre) == list(range(n))
+            masks = _ancestor_masks(t)
+            assert _subtree_masks(t) == masks, t.parent
+            for v in range(n):
+                assert t.subtree_nodes(v) == {x for x in range(n) if masks[v] >> x & 1}, (t.parent, v)
+                for x in range(n):
+                    assert t.in_subtree(x, v) == bool(masks[v] >> x & 1), (t.parent, x, v)
+            checked += 1
         assert checked == 2 * 85
+
+    def test_star_holds_linear_memory(self):
+        # Subtrees are intervals, not n-bit masks: a star's masks alone held
+        # about n^2/2 bits, 175 MB at this size.
+        n = 50_000
+        parent = [-1] + [0] * (n - 1)
+        weight = [1] * n
+        tracemalloc.start()
+        try:
+            tree = InputTree(parent, weight)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tree.size[tree.root] == n
+        assert held < 20 * 2**20, held
 
 
 class TestCost:
@@ -133,16 +242,52 @@ class TestValidate:
             t = random_tree(rng.randint(2, 12), rng.randrange(10**6), (0, 9))
             strategy = opt_cost(t)[1] if t.n <= 9 else greedy(t)
 
+            sub_masks = _subtree_masks(t)
+
             def leaf_weight(node, piece_mask):
                 if isinstance(node, Leaf):
                     return t.weight[node.node]
-                sub = t.subtree_mask[node.query]
+                sub = sub_masks[node.query]
                 no_w = leaf_weight(node.no, piece_mask & ~sub)
                 yes_w = leaf_weight(node.yes, piece_mask & sub)
                 assert no_w + yes_w == t.mask_weight(piece_mask)
                 return no_w + yes_w
 
             assert leaf_weight(strategy, t.full_mask()) == t.total_weight
+
+    def test_matches_reference_on_every_small_shape(self):
+        # Every strategy of every shape with n <= 6, and on n <= 5 every
+        # strategy one edit away and every exchange of two leaves.
+        checked = 0
+        for t in _every_small_tree(6):
+            assert validate(None, t) == _reference_validate(None, t)
+            for strategy in enumerate_decision_trees(t):
+                cases = [strategy]
+                if t.n <= 5:
+                    cases += _mutants(strategy, t.n)
+                    cases += (_swap_leaves(strategy, a, b) for a in range(t.n) for b in range(a))
+                for case in cases:
+                    assert validate(case, t) == _reference_validate(case, t), (t.parent, case)
+                    checked += 1
+        assert checked > 10**4
+
+    def test_matches_reference_on_every_piece(self):
+        # Each connected piece of each shape with n <= 5, against its own
+        # strategies, a whole-tree strategy, and the piece's strategies one
+        # edit away.
+        checked = 0
+        for t in _every_small_tree(5):
+            whole = next(enumerate_decision_trees(t))
+            for mask in range(1, 1 << t.n):
+                try:
+                    piece = NodePiece.of(t, (v for v in range(t.n) if mask >> v & 1))
+                except InvalidInstanceError:
+                    continue  # not connected
+                own = next(enumerate_decision_trees(t, mask))
+                for case in (whole, *enumerate_decision_trees(t, mask), *_mutants(own, t.n)):
+                    assert validate(case, t, piece) == _reference_validate(case, t, piece), (t.parent, mask, case)
+                    checked += 1
+        assert checked > 10**4
 
 
 class TestDeletions:
