@@ -34,12 +34,12 @@ certifies within the ratio of optimal, which is how the FPTAS stops early.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Collection, Optional, Union
 
 from .bounds import tall_huffman
 from .errors import InfeasibleError, InvalidDecisionTreeError, ResourceLimitError
 from .model import (
-    DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, _bits, build_decision_tree,
+    DecisionNode, Diagnostics, InputTree, Leaf, Query, _Record, build_decision_tree,
     cost as dt_cost, validate,
 )
 
@@ -96,15 +96,16 @@ def est_iter(root: Optional[ESTNode]):
             stack.append((node.right, d + 1))
 
 
-def est_cost(root: ESTNode, tree: InputTree, forest_mask: Optional[int] = None) -> int:
-    """Sum of depth * weight over leaves assigned into the forest."""
-    if forest_mask is None:
-        forest_mask = tree.full_mask()
+def est_cost(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] = None) -> int:
+    """Sum of depth * weight over leaves assigned into the forest, a set of
+    node ids (the whole tree by default); ids outside 0..n-1 are outside it."""
+    if forest is None:
+        forest = range(tree.n)
     total = 0
     for node, d in est_iter(root):
         a = node.assignment
         is_leaf = node.left is None and node.right is None
-        if is_leaf and isinstance(a, int) and 0 <= a < tree.n and forest_mask >> a & 1:
+        if is_leaf and isinstance(a, int) and 0 <= a < tree.n and a in forest:
             total += d * tree.weight[a]
     return total
 
@@ -130,18 +131,20 @@ def est_compatible(root: ESTNode, plp: PLP) -> bool:
     return all(node.assignment is BLOCKED for node, cell in zip(lp, plp) if cell is BLOCKED)
 
 
-def forest_mask(tree: InputTree, fid: SubforestId) -> int:
-    """Node-set mask of a subforest id."""
+def forest_nodes(tree: InputTree, fid: SubforestId) -> frozenset[int]:
+    """The node set of a subforest id: T_v for ("T", v), the first f child
+    subtrees of u for ("F", u, f)."""
     tops = [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]
-    return sum(1 << v for top in tops for v in tree.subtree_nodes(top))
+    return frozenset(v for top in tops for v in tree.subtree_nodes(top))
 
 
-def validate_est(root: ESTNode, tree: InputTree, forest_mask: Optional[int] = None) -> Diagnostics:
+def validate_est(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] = None) -> Diagnostics:
     """Check EST properties: one leaf and one internal node per forest node,
     the search property among assigned nodes, and no right child under
-    placeholders. Like ``validate``, it masks preorder positions."""
-    n, pre, size, full = tree.n, tree.pre, tree.size, tree.full_mask()
-    forest = full if forest_mask is None else sum(1 << pre[v] for v in _bits(forest_mask & full))
+    placeholders. The forest (a node set, the whole tree by default) is read
+    once into a mask of preorder positions; ids outside 0..n-1 lie outside."""
+    n, pre, size = tree.n, tree.pre, tree.size
+    forest = (1 << n) - 1 if forest is None else sum(1 << pre[v] for v in range(n) if v in forest)
     violations = []
     leaves: dict[int, int] = {}
     internals: dict[int, int] = {}

@@ -1,6 +1,7 @@
 """Exact optimal solver: branch and bound over candidate pieces.
 
-A piece is an n-bit set of the candidates still possible. Its optimal cost
+A piece is the set of candidates still possible, as an n-bit integer keyed
+by node id (the one module that stores node sets so). Its optimal cost
 is w(piece) plus the least sum of the optimal costs of the two sides of one
 of its splits (a query x in the piece other than its topmost node; YES is
 the part inside T_x). The oracle keeps two memos per piece: its exact cost
@@ -34,14 +35,21 @@ node limit.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from typing import Iterator, Optional
 
 from .bounds import huffman
 from .errors import ResourceLimitError
 from .greedy import greedy
-from .model import DecisionNode, InputTree, Leaf, Query, _bits, cost as dt_cost
+from .model import DecisionNode, InputTree, Leaf, Query, cost as dt_cost
 
 DEFAULT_LIMIT = 20
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _piece_weights(tree: InputTree, piece: int) -> Iterator[int]:
+    """The weights of the nodes in ``piece``, by ascending id, in one C-level pass."""
+    return compress(tree.weight, bin(piece)[:1:-1].encode().translate(_BIT_SELECTORS))
 
 
 def _subtree_masks(tree: InputTree) -> list[int]:
@@ -88,8 +96,7 @@ class _Oracle:
             return c
         lb = self.lower.get(piece)
         if lb is None:
-            w = self.tree.weight
-            lb = self.lower[piece] = huffman(w[v] for v in _bits(piece))
+            lb = self.lower[piece] = huffman(_piece_weights(self.tree, piece))
         return lb
 
     def _search(self, piece: int, ub: int) -> int:
@@ -103,7 +110,7 @@ class _Oracle:
         lb = self._lb(piece)
         if lb >= ub:
             return lb
-        total = self.tree.mask_weight(piece)
+        total = sum(_piece_weights(self.tree, piece))
         order = sorted((self._lb(inside) + self._lb(piece ^ inside), inside)
                        for _, inside in _splits(self.sub, piece))
         best = ub - total  # the two sides must cost less than this together
@@ -142,10 +149,10 @@ class _Oracle:
         c = self.exact.get(piece)
         if c is not None:
             return c
-        if piece == self.tree.full_mask():
+        if piece == (1 << self.tree.n) - 1:
             upper = dt_cost(greedy(self.tree), self.tree, check=False)
         else:
-            upper = self.tree.mask_weight(piece) * (bin(piece).count("1") - 1)
+            upper = sum(_piece_weights(self.tree, piece)) * (bin(piece).count("1") - 1)
         return self._search(piece, upper + 1)
 
     def solve(self, piece: int) -> tuple[int, int]:
@@ -156,14 +163,14 @@ class _Oracle:
         c = self.cost(piece)
         x = self.first.get(piece)
         if x is None:
-            target = c - self.tree.mask_weight(piece)
+            target = c - sum(_piece_weights(self.tree, piece))
             x = self.first[piece] = next(
                 x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target))
         return c, x
 
     def argmins(self, piece: int) -> list[int]:
         """Every optimal first query on ``piece``, by ascending id."""
-        target = self.cost(piece) - self.tree.mask_weight(piece)  # both sides' optimal cost
+        target = self.cost(piece) - sum(_piece_weights(self.tree, piece))  # both sides' optimal cost
         return [x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target)]
 
     def min_height(self, piece: int) -> int:
@@ -196,26 +203,26 @@ def opt_cost(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, Decision
     first-query tie-breaking at every piece).
     """
     oracle = _Oracle(tree, limit)
-    full = tree.full_mask()
+    full = (1 << tree.n) - 1
     return oracle.cost(full), oracle.build(full)
 
 
 def opt_cost_min_height(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, int]:
     """(optimal cost, smallest height among optimal decision trees)."""
     oracle = _Oracle(tree, limit)
-    full = tree.full_mask()
+    full = (1 << tree.n) - 1
     return oracle.solve(full)[0], oracle.min_height(full)
 
 
 def optimal_first_queries(tree: InputTree, limit: int = DEFAULT_LIMIT) -> frozenset[int]:
     """All first queries achieving the optimum (argmin set at the root piece)."""
-    return frozenset(_Oracle(tree, limit).argmins(tree.full_mask()))
+    return frozenset(_Oracle(tree, limit).argmins((1 << tree.n) - 1))
 
 
 def enumerate_decision_trees(tree: InputTree, piece: Optional[int] = None) -> Iterator[DecisionNode]:
     """Every valid decision tree for the instance; only sane for n <= 6."""
     if piece is None:
-        piece = tree.full_mask()
+        piece = (1 << tree.n) - 1
     sub = _subtree_masks(tree)
 
     def gen(mask: int) -> Iterator[DecisionNode]:

@@ -109,19 +109,20 @@ class InputTree:
         self.total_weight = sum(self.weight)
         self.max_children = max(len(c) for c in self.children)
 
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+    def _check_node(self, v: int) -> None:
+        if not 0 <= v < self.n:  # a negative index would wrap around
+            raise IndexError(f"node {v} out of range 0..{self.n - 1}")
 
     def in_subtree(self, x: int, v: int) -> bool:
         """True iff x lies in the subtree rooted at v."""
+        self._check_node(x)
+        self._check_node(v)
         return self.pre[v] <= self.pre[x] < self.pre[v] + self.size[v]
 
     def subtree_nodes(self, v: int) -> frozenset[int]:
+        self._check_node(v)
         end = self.n - self.pre[v]
         return frozenset(self.postorder[end - self.size[v]:end])
-
-    def mask_weight(self, mask: int) -> int:
-        return sum(self.weight[v] for v in _bits(mask))
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,13 +137,6 @@ class InputTree:
 
     def __repr__(self):
         return f"InputTree(n={self.n}, root={self.root}, w(T)={self.total_weight})"
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 _set = object.__setattr__  # how a frozen record's __init__ stores its fields
@@ -253,36 +247,34 @@ class NodePiece(_FrozenRecord):
     """A connected set of instance nodes with a unique topmost node.
 
     This is the "remaining search space" at a decision-tree node: querying
-    can only ever shrink the candidate set to such pieces.
+    can only ever shrink the candidate set to such pieces. ``nodes`` is the
+    set of node ids and ``top`` its topmost node.
     """
 
-    __slots__ = ("nodes", "top", "mask")
+    __slots__ = ("nodes", "top")
 
-    def __init__(self, nodes: frozenset[int], top: int, mask: int):
+    def __init__(self, nodes: frozenset[int], top: int):
         _set(self, "nodes", nodes)
         _set(self, "top", top)
-        _set(self, "mask", mask)
 
     @staticmethod
     def of(tree: InputTree, nodes: Iterable[int]) -> "NodePiece":
         ns = frozenset(nodes)
         if not ns:
             raise InvalidInstanceError("a NodePiece must be nonempty")
-        mask = 0
         for v in ns:
             if not 0 <= v < tree.n:
                 raise InvalidInstanceError(f"node {v} out of range")
-            mask |= 1 << v
         tops = [v for v in ns if v == tree.root or tree.parent[v] not in ns]
         if len(tops) != 1:
             raise InvalidInstanceError(f"not a connected piece: {len(tops)} topmost nodes")
         # Every other node's parent lies in ns, so parents lead each node up
         # to the one top: the piece is connected.
-        return NodePiece(ns, tops[0], mask)
+        return NodePiece(ns, tops[0])
 
     @staticmethod
     def whole(tree: InputTree) -> "NodePiece":
-        return NodePiece(frozenset(range(tree.n)), tree.root, tree.full_mask())
+        return NodePiece(frozenset(range(tree.n)), tree.root)
 
 
 def iter_nodes(root: Optional[DecisionNode]) -> Iterator[tuple[DecisionNode, int]]:
@@ -359,13 +351,14 @@ def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = N
     Properties checked: every internal node has both children; leaf
     assignments are a bijection onto the piece; and the search property --
     below a YES branch only nodes of the queried subtree may appear, below a
-    NO branch none of them may. Permitted nodes are a mask over preorder
-    positions: T_q is ``size[q]`` bits from ``pre[q]``, the whole tree n bits.
+    NO branch none of them may. The piece's node set is read once, into a
+    mask of permitted preorder positions: T_q is ``size[q]`` bits from
+    ``pre[q]``, the whole tree n bits.
     """
     pre, size = tree.pre, tree.size
     if piece is None:
         piece = NodePiece.whole(tree)
-    start = piece.mask if len(piece.nodes) == tree.n else sum(1 << pre[v] for v in piece.nodes)
+    start = (1 << tree.n) - 1 if len(piece.nodes) == tree.n else sum(1 << pre[v] for v in piece.nodes)
     violations: list[str] = []
     seen: dict[int, int] = {}
     # stack entries: (node, preorder mask of assignments permitted here)
@@ -464,7 +457,7 @@ def right_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
 def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionNode:
     """Prune a valid decision tree down to a strategy for ``piece``.
 
-    A leaf survives iff its assignment is in the piece; an internal node
+    A leaf survives iff its assignment is in ``piece.nodes``; an internal node
     whose pruned children leave only one side is replaced by that side.
     The result is a valid decision tree for the sub-instance induced by the
     piece, and each surviving leaf rises by exactly the number of ancestors
@@ -472,11 +465,10 @@ def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionN
     ``uninformative_ancestor_counts``).
     """
     validate(root, tree).raise_if_invalid()
-    mask = piece.mask
 
     def prune(node: DecisionNode):
         if isinstance(node, Leaf):
-            return node if mask >> node.node & 1 else None
+            return node if node.node in piece.nodes else None
         return node.query, node.no, node.yes
 
     out = build_decision_tree(root, prune)

@@ -66,7 +66,7 @@ class X3CInstance(_FrozenRecord):
         n = universe_size
         if n <= 0 or n % 3:
             raise InvalidInstanceError("universe size must be a positive multiple of 3")
-        count = [0] * n
+        count: dict[int, int] = {}  # only the elements of the sets, however large n is
         for s in family:
             trip = tuple(sorted(int(e) for e in s))
             if len(trip) != 3 or len(set(trip)) != 3:
@@ -74,10 +74,10 @@ class X3CInstance(_FrozenRecord):
             for e in trip:
                 if not 0 <= e < n:
                     raise InvalidInstanceError(f"element {e} out of range 0..{n - 1}")
-                count[e] += 1
-        for e, k in enumerate(count):
-            if k > 3:
-                raise InvalidInstanceError(f"element {e} appears in {k} > 3 sets")
+                count[e] = count.get(e, 0) + 1
+        for e in sorted(count):
+            if count[e] > 3:
+                raise InvalidInstanceError(f"element {e} appears in {count[e]} > 3 sets")
         canon = sorted((tuple(sorted(s)) for s in family),
                        key=lambda t: (t[2], t[1], t[0]))
         return X3CInstance(n, tuple(canon))
@@ -234,7 +234,18 @@ def build(inst: X3CInstance, variant: str) -> ReductionOutput:
     out as the module docstring says (in T the root is the one hub and is not
     listed in ``h_nodes``). Ids follow allocation: the spine from z_p down,
     then per group its hub and per set r, t, s x3, a x4. Both variants carry
-    T's weights (the recurrence uses T's size)."""
+    T's weights (the recurrence uses T's size).
+
+    The weights' size is predicted before any work, from n = |U| and |T|:
+    each w(u_j) is at least 6 |T|^3 times the one before, so the n element
+    weights take about n^2/2 * log2(6 |T|^3) bits, and a prediction above
+    ``WEIGHT_BITS_LIMIT`` raises ``ResourceLimitError``."""
+    n, m = inst.universe_size, inst.m
+    bits = n * (n - 1) // 2 * ((6 * (1 + 9 * m) ** 3).bit_length() - 1)
+    if bits > WEIGHT_BITS_LIMIT:
+        raise ResourceLimitError(
+            f"universe of {n} elements: its weights would take about {bits} bits, "
+            f"above the limit {WEIGHT_BITS_LIMIT}")
     if variant == "diam4":
         groups, spine = [list(range(inst.m))], 0
     elif variant == "deg16":
@@ -244,7 +255,6 @@ def build(inst: X3CInstance, variant: str) -> ReductionOutput:
             raise InvalidInstanceError("the degree-16 tree needs at least one set")
     else:
         raise InvalidInstanceError(f"unknown reduction variant {variant!r}")
-    m = inst.m
     ew, big_w, wa, wt, gammas = _reduction_weights(inst, 1 + 9 * m)
     parent: list[int] = []
     weight: list[int] = []
@@ -465,6 +475,13 @@ def cost_gap(red: ReductionOutput, spec: Iterable[int]) -> int:
 
 
 SWEEP_LIMIT = 20  # most sets decide_cover sweeps: 2^m realizations
+# Most bits build lets the element weights take, as it predicts them (a lower
+# bound on their true size). Measured in-process (Python 3.11, 2-vCPU VM): one set over n = 6000
+# elements predicts 2.2e8 bits, and the recurrence then takes 0.18 s and
+# peaks at 29 MiB; n = 9000 predicts 4.9e8 bits, 0.43 s and 66 MiB, and
+# n = 3e6 exhausts a 1.5 GB address space. The families of the tests and the
+# benchmark predict at most 5250 bits (21 sets over 21 elements).
+WEIGHT_BITS_LIMIT = 2**28
 BRUTE_LIMIT = 25  # most sets x3c_brute searches
 
 

@@ -136,11 +136,12 @@ def test_criterion_04_height_bound_and_geometric_decrease(suite9):
 def _check_geo_decrease(tree, strategy):
     threshold = 6 * (tree.max_children + 1) + 1
     subtree_mask = _subtree_masks(tree)
-    stack = [(strategy, 0, tree.full_mask())]
+    stack = [(strategy, 0, (1 << tree.n) - 1)]
     while stack:
         node, d, piece = stack.pop()
         if d >= threshold:
-            assert 2 * tree.mask_weight(piece) <= tree.total_weight, (tree.parent, tree.weight, d)
+            piece_weight = sum(w for v, w in enumerate(tree.weight) if piece >> v & 1)
+            assert 2 * piece_weight <= tree.total_weight, (tree.parent, tree.weight, d)
         if isinstance(node, Query):
             sub = subtree_mask[node.query]
             stack.append((node.no, d + 1, piece & ~sub))

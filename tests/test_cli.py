@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from treesearch import InputTree, format_instance, parse_decision_tree, parse_instance
+from treesearch import InputTree, NodePiece, format_instance, parse_decision_tree, parse_instance
 from treesearch.cli import main
 from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
 
@@ -177,11 +178,14 @@ def _spider(legs):
     return InputTree(parent, [1] * len(parent))
 
 
-def _cli(*argv):
-    """The CLI in a fresh interpreter, at its default recursion limit."""
+def _cli(*argv, address_space=None):
+    """The CLI in a fresh interpreter, at its default recursion limit; with
+    ``address_space`` (bytes) the child alone runs under that RLIMIT_AS."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, "-m", "treesearch.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
 
 
 class TestTallStrategies:
@@ -287,6 +291,21 @@ class TestReduce:
         assert code == 3
         assert "realization sweep above the limit" in err
         assert time.perf_counter() - t0 < 1.0
+
+
+    @pytest.mark.parametrize("command", ["reduce", "verify-lemma2"])
+    @pytest.mark.parametrize("text", ["999999999 0\n", "3000000 1\n0 1 2\n"], ids=["no-sets", "one-set"])
+    def test_huge_universe_refused_up_front(self, tmp_path, command, text):
+        # The element weights would take about n^2/2 * log2(6|T|^3) bits, so
+        # build refuses them before it allocates anything of size n; they
+        # once ended in a MemoryError traceback under this limit.
+        x3c = tmp_path / "huge.x3c"
+        x3c.write_text(text)
+        t0 = time.perf_counter()
+        done = _cli(command, "--x3c", str(x3c), address_space=2**30)
+        assert done.returncode == 3, done.stderr
+        assert "weights would take about" in done.stderr and "Traceback" not in done.stderr
+        assert time.perf_counter() - t0 < 10
 
 
 class TestUnwritableOutput:
@@ -403,3 +422,15 @@ def test_subtree_mask_call_sites():
     whose n is capped by its node limit, and its enumerator may build them;
     the polynomial solvers and validation use preorder intervals."""
     assert _call_sites("_subtree_masks") == ["exact._Oracle.__init__", "exact.enumerate_decision_trees"]
+
+
+def test_id_mask_call_sites():
+    """Node sets are id-bit integers only inside the exact oracle, whose n is
+    capped by its node limit; the model, the EST helpers and the polynomial
+    solvers take node sets, and only the oracle reads a piece's weights."""
+    for name in ("full_mask", "mask_weight", "_bits", "forest_mask"):
+        assert _call_sites(name) == [], name
+    sites = _call_sites("_piece_weights")
+    assert sites and {site.split(".")[0] for site in sites} == {"exact"}, sites
+    assert NodePiece.__slots__ == ("nodes", "top")
+    assert not hasattr(InputTree, "full_mask") and not hasattr(InputTree, "mask_weight")

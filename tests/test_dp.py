@@ -34,7 +34,7 @@ from treesearch import (
 )
 from treesearch import bounded_dp
 from treesearch.bounds import huffman, tall_huffman
-from treesearch.bounded_dp import forest_mask
+from treesearch.bounded_dp import forest_nodes
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, seeded_weights, unit_weights
 from treesearch.model import Diagnostics
@@ -55,13 +55,32 @@ def all_plps(max_len):
             yield cells
 
 
+def _id_mask(nodes):
+    """A node set as a mask keyed by node id; a negative id has no bit."""
+    return sum(1 << v for v in set(nodes) if v >= 0)
+
+
+def _reference_est_cost(root, tree, forest_mask=None):
+    """``est_cost`` on a forest mask keyed by node id, as it was before
+    forests were node sets; both must give the same cost."""
+    if forest_mask is None:
+        forest_mask = (1 << tree.n) - 1
+    total = 0
+    for node, d in bounded_dp.est_iter(root):
+        a = node.assignment
+        is_leaf = node.left is None and node.right is None
+        if is_leaf and isinstance(a, int) and 0 <= a < tree.n and forest_mask >> a & 1:
+            total += d * tree.weight[a]
+    return total
+
+
 def _reference_validate_est(root, tree, forest_mask=None):
     """``validate_est`` on n-bit subtree masks keyed by node id, as it was
     before the preorder-position masks, except that an assignment outside
     0..n-1 counts as outside the forest (a negative one made the id shift
     raise); both must give the same ``Diagnostics``."""
     if forest_mask is None:
-        forest_mask = tree.full_mask()
+        forest_mask = (1 << tree.n) - 1
     sub_masks = _subtree_masks(tree)
     violations = []
     leaves = {}
@@ -130,7 +149,7 @@ class TestBaseCase:
             else:
                 assert sol.cost == (first + 1) * 3
                 assert est_compatible(sol.est, plp)
-                assert validate_est(sol.est, t, forest_mask(t, ("T", 0))).ok
+                assert validate_est(sol.est, t, forest_nodes(t, ("T", 0))).ok
 
     def test_all_blocked_infeasible(self):
         t = InputTree([-1], [5])
@@ -207,7 +226,8 @@ class TestValidateEst:
     def test_matches_reference_on_every_small_shape(self):
         # The DP's EST for every subforest of every shape with n <= 5 (both
         # child orders), each EST one edit away from it, each checked against
-        # its own forest and the whole tree.
+        # its own forest, that forest with ids outside 0..n-1 added, and the
+        # whole tree; est_cost is checked on the same cases.
         checked = 0
         for n in range(1, 6):
             for parents in all_tree_shapes(n):
@@ -218,23 +238,27 @@ class TestValidateEst:
                     fids += [("F", u, f) for u in range(n) for f in range(1, len(t.children[u]) + 1)]
                     for fid in fids:
                         est = solve_pb(t, fid, (U,) * (n + 1), n + 1).est
+                        own = forest_nodes(t, fid)
                         for case in (est, *_est_mutants(est, n)):
-                            for mask in (forest_mask(t, fid), None):
-                                assert validate_est(case, t, mask) == _reference_validate_est(case, t, mask), \
-                                    (t.parent, fid, case)
+                            for forest in (own, own | {-1, n, n + 3}, None):
+                                mask = None if forest is None else _id_mask(forest)
+                                assert validate_est(case, t, forest) == _reference_validate_est(case, t, mask), \
+                                    (t.parent, fid, forest, case)
+                                assert est_cost(case, t, forest) == _reference_est_cost(case, t, mask), \
+                                    (t.parent, fid, forest, case)
                                 checked += 1
         assert checked > 10**4
 
     def test_assignment_outside_the_tree(self):
         # Any id outside 0..n-1 is outside the forest, even where the
-        # forest mask has that bit set; est_cost skips such a leaf.
+        # forest names that id; est_cost skips such a leaf.
         t = InputTree([-1, 0], [1, 1])
         for a in (-1, -3, 2, 5):
-            for mask in (None, 0b11, 0b100111):
-                diag = validate_est(ESTNode(a), t, mask)
+            for forest in (None, {0, 1}, {0, 1, 2, 5}, {-3, -1, 0, 1}):
+                diag = validate_est(ESTNode(a), t, forest)
                 assert not diag.ok and diag.violations[0] == f"assignment {a} outside the forest"
-                assert est_cost(ESTNode(0, ESTNode(a), ESTNode(1)), t, mask) == 1
-                assert est_cost(ESTNode(a), t, mask) == 0
+                assert est_cost(ESTNode(0, ESTNode(a), ESTNode(1)), t, forest) == 1
+                assert est_cost(ESTNode(a), t, forest) == 0
 
 
 class TestConversion:

@@ -22,6 +22,15 @@ from treesearch.exact import _Oracle, _splits, _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
 
 
+def _id_mask(nodes):
+    return sum(1 << v for v in nodes)
+
+
+def _piece_weight(tree, piece):
+    """w(piece) for an n-bit piece keyed by node id."""
+    return sum(w for v, w in enumerate(tree.weight) if piece >> v & 1)
+
+
 def _reference_oracle(tree):
     """The exhaustive oracle: every split of every reachable piece is
     expanded, and ties break toward the smallest query id. Returns (cost,
@@ -44,11 +53,11 @@ def _reference_oracle(tree):
             c = solve(inside)[0] + solve(piece ^ inside)[0]
             if best is None or c < best:
                 best, best_x = c, x
-        memo[piece] = (tree.mask_weight(piece) + best, best_x)
+        memo[piece] = (_piece_weight(tree, piece) + best, best_x)
         return memo[piece]
 
     def argmins(piece):
-        below = solve(piece)[0] - tree.mask_weight(piece)
+        below = solve(piece)[0] - _piece_weight(tree, piece)
         return [x for x, inside in _splits(sub, piece)
                 if solve(inside)[0] + solve(piece ^ inside)[0] == below]
 
@@ -68,7 +77,7 @@ def _reference_oracle(tree):
         inside = piece & sub[x]
         return Query(x, build(piece ^ inside), build(inside))
 
-    full = tree.full_mask()
+    full = (1 << tree.n) - 1
     c, _ = solve(full)
     return c, format_decision_tree(build(full)), frozenset(argmins(full)), min_height(full)
 
@@ -175,10 +184,10 @@ def _reference_restricted_height(tree, height):
                 b = solve(piece ^ inside, h - 1)
                 if b is not None and (best is None or a + b < best):
                     best = a + b
-            memo[key] = None if best is None else tree.mask_weight(piece) + best
+            memo[key] = None if best is None else _piece_weight(tree, piece) + best
         return memo[key]
 
-    return solve(tree.full_mask(), height)
+    return solve((1 << tree.n) - 1, height)
 
 
 def test_restricted_height():
@@ -249,7 +258,7 @@ def test_monotone_under_piece_inclusion():
                 small.add(v)
         big_piece = NodePiece.of(t, big)
         small_piece = NodePiece.of(t, small)
-        assert oracle.solve(small_piece.mask)[0] <= oracle.solve(big_piece.mask)[0]
+        assert oracle.solve(_id_mask(small_piece.nodes))[0] <= oracle.solve(_id_mask(big_piece.nodes))[0]
 
 
 def test_scaling_invariance():

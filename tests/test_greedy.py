@@ -58,7 +58,7 @@ def _reference_greedy(tree):
         inside = piece & sub[best_x]
         return best_x, (piece ^ inside, top), (inside, best_x)
 
-    return build_decision_tree((tree.full_mask(), tree.root), split)
+    return build_decision_tree(((1 << tree.n) - 1, tree.root), split)
 
 
 def _same_as_reference(tree):

@@ -30,7 +30,7 @@ from treesearch import (
 from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, random_tree
-from treesearch.model import Diagnostics, iter_nodes
+from treesearch.model import Diagnostics, build_decision_tree, iter_nodes
 from treesearch.reduction import ReductionOutput, X3CInstance, build
 
 
@@ -63,7 +63,7 @@ def _reference_validate(root, tree, piece=None):
     sub_masks = _subtree_masks(tree)
     violations = []
     seen = {}
-    stack = [(root, piece.mask)]
+    stack = [(root, sum(1 << v for v in piece.nodes))]
     if root is None:
         return Diagnostics(False, ["empty decision tree"])
     while stack:
@@ -101,6 +101,53 @@ def _reference_validate(root, tree, piece=None):
         if v not in piece.nodes:
             violations.append(f"leaf {v} is outside the instance piece")
     return Diagnostics(not violations, violations)
+
+
+def _id_mask(nodes):
+    return sum(1 << v for v in nodes)
+
+
+def _reference_restrict(root, tree, piece):
+    """``restrict`` on the piece's n-bit id mask, as it was before pieces
+    were node sets alone; both must give the same strategy or error."""
+    _reference_validate(root, tree).raise_if_invalid()
+    mask = _id_mask(piece.nodes)
+
+    def prune(node):
+        if isinstance(node, Leaf):
+            return node if mask >> node.node & 1 else None
+        return node.query, node.no, node.yes
+
+    out = build_decision_tree(root, prune)
+    if out is None:
+        raise InvalidDecisionTreeError(["restriction produced an empty tree"])
+    _reference_validate(out, tree, piece).raise_if_invalid()
+    return out
+
+
+def _reference_uninformative_ancestor_counts(root, piece):
+    """``uninformative_ancestor_counts`` on the piece's n-bit id mask."""
+    mask = _id_mask(piece.nodes)
+    useful = mask & ~(1 << piece.top)
+    out = {}
+    stack = [(root, 0)]
+    while stack:
+        node, k = stack.pop()
+        if isinstance(node, Leaf):
+            if mask >> node.node & 1:
+                out[node.node] = k
+        else:
+            k2 = k + (0 if useful >> node.query & 1 else 1)
+            stack += ((node.no, k2), (node.yes, k2))
+    return out
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except InvalidDecisionTreeError as e:
+        return type(e), str(e)
 
 
 def _mutants(node, n):
@@ -166,6 +213,16 @@ class TestInstance:
                     assert t.in_subtree(x, v) == bool(masks[v] >> x & 1), (t.parent, x, v)
             checked += 1
         assert checked == 2 * 85
+
+    @pytest.mark.parametrize("bad", [-1, -3, 3])
+    def test_node_ids_outside_the_tree_raise(self, bad):
+        # On the path 0-1-2, -1 once indexed from the end (node 2).
+        t = InputTree([-1, 0, 1], [1, 1, 1])
+        for call in (lambda: t.in_subtree(bad, 0), lambda: t.in_subtree(0, bad),
+                     lambda: t.in_subtree(bad, bad), lambda: t.subtree_nodes(bad)):
+            with pytest.raises(IndexError, match=f"node {bad} out of range"):
+                call()
+        assert t.in_subtree(2, 0) and t.subtree_nodes(1) == {1, 2}
 
     def test_star_holds_linear_memory(self):
         # Subtrees are intervals, not n-bit masks: a star's masks alone held
@@ -250,10 +307,10 @@ class TestValidate:
                 sub = sub_masks[node.query]
                 no_w = leaf_weight(node.no, piece_mask & ~sub)
                 yes_w = leaf_weight(node.yes, piece_mask & sub)
-                assert no_w + yes_w == t.mask_weight(piece_mask)
+                assert no_w + yes_w == sum(w for v, w in enumerate(t.weight) if piece_mask >> v & 1)
                 return no_w + yes_w
 
-            assert leaf_weight(strategy, t.full_mask()) == t.total_weight
+            assert leaf_weight(strategy, (1 << t.n) - 1) == t.total_weight
 
     def test_matches_reference_on_every_small_shape(self):
         # Every strategy of every shape with n <= 6, and on n <= 5 every
@@ -272,21 +329,27 @@ class TestValidate:
         assert checked > 10**4
 
     def test_matches_reference_on_every_piece(self):
-        # Each connected piece of each shape with n <= 5, against its own
-        # strategies, a whole-tree strategy, and the piece's strategies one
-        # edit away.
+        # Each connected piece of each shape with n <= 6, against every third
+        # whole-tree strategy, the piece's own strategies and, on n <= 5, the
+        # piece's strategies one edit away; restrict and
+        # uninformative_ancestor_counts against the same references.
         checked = 0
-        for t in _every_small_tree(5):
-            whole = next(enumerate_decision_trees(t))
+        for t in _every_small_tree(6):
+            whole = list(enumerate_decision_trees(t))[::3]
             for mask in range(1, 1 << t.n):
                 try:
                     piece = NodePiece.of(t, (v for v in range(t.n) if mask >> v & 1))
                 except InvalidInstanceError:
                     continue  # not connected
-                own = next(enumerate_decision_trees(t, mask))
-                for case in (whole, *enumerate_decision_trees(t, mask), *_mutants(own, t.n)):
+                own = list(enumerate_decision_trees(t, mask))
+                cases = whole + own + (list(_mutants(own[0], t.n)) if t.n <= 5 else [])
+                for case in cases:
                     assert validate(case, t, piece) == _reference_validate(case, t, piece), (t.parent, mask, case)
+                    assert _outcome(restrict, case, t, piece) == _outcome(_reference_restrict, case, t, piece)
                     checked += 1
+                for case in whole:
+                    assert uninformative_ancestor_counts(case, piece) == \
+                        _reference_uninformative_ancestor_counts(case, piece), (t.parent, mask, case)
         assert checked > 10**4
 
 
@@ -369,7 +432,6 @@ class _TwinLeaf:
 class _TwinNodePiece:
     nodes: object
     top: object
-    mask: object
 
 
 @dataclass
@@ -434,8 +496,8 @@ def _samples(cls) -> list:
     if cls is Leaf:
         return [Leaf(0), Leaf(3), Leaf(node=3), Leaf(10**30)]
     if cls is NodePiece:
-        return [NodePiece(frozenset({0, 1}), 0, 3), NodePiece(frozenset({1, 0}), 0, 0b11),
-                NodePiece(frozenset({2}), 2, 4), NodePiece(mask=4, top=2, nodes=frozenset({2}))]
+        return [NodePiece(frozenset({0, 1}), 0), NodePiece(frozenset({1, 0}), 0),
+                NodePiece(frozenset({2}), 2), NodePiece(top=2, nodes=frozenset({2}))]
     if cls is Diagnostics:
         return [Diagnostics(True, []), Diagnostics(False, ["a"]), Diagnostics(False, ["a"]),
                 Diagnostics(False, ["b"])]
@@ -520,7 +582,7 @@ def test_query_is_frozen():
 class TestNodePiece:
     def test_whole(self, path3):
         piece = NodePiece.whole(path3)
-        assert piece.top == 0 and piece.mask == 0b111
+        assert piece.top == 0 and piece.nodes == {0, 1, 2}
 
     def test_disconnected_rejected(self, path3):
         with pytest.raises(InvalidInstanceError):

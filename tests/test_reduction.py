@@ -6,6 +6,7 @@ import pytest
 
 from treesearch import (
     InvalidInstanceError,
+    ResourceLimitError,
     X3CInstance,
     build_T,
     build_Tb,
@@ -26,7 +27,9 @@ from treesearch import (
     x3c_brute,
 )
 from treesearch.model import DecisionNode, InputTree, Leaf, Query
-from treesearch.reduction import ReductionOutput, _cost_fold, _reduction_weights, build, pi_set_groups
+from treesearch.reduction import (
+    WEIGHT_BITS_LIMIT, ReductionOutput, _cost_fold, _reduction_weights, build, pi_set_groups,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,31 @@ class TestOrdering:
     def test_set_size_guard(self):
         with pytest.raises(InvalidInstanceError):
             X3CInstance.of(3, [(0, 1, 1)])
+
+    def test_multiplicity_reports_the_smallest_element(self):
+        fam = [(3, 4, 5), (0, 4, 5), (1, 4, 5), (2, 4, 5)]
+        with pytest.raises(InvalidInstanceError, match="element 4 appears in 4 > 3 sets"):
+            X3CInstance.of(6, fam)
+
+    def test_huge_universe_costs_nothing_until_build_refuses_it(self):
+        # Multiplicities are counted over the sets' elements only, and build
+        # predicts the weights' size before it allocates anything of size n.
+        for n, fam in ((999_999_999, []), (3_000_000, [(0, 1, 2)]), (9000, [(0, 1, 2)])):
+            inst = X3CInstance.of(n, fam)
+            for variant in ("diam4", "deg16"):
+                with pytest.raises(ResourceLimitError, match="weights would take about"):
+                    build(inst, variant)
+
+    def test_weight_prediction_is_sound_and_leaves_room(self):
+        # The prediction never exceeds the weights' true size, and the largest
+        # families tested and benchmarked (21 sets over 21 elements, 10 over
+        # 12) predict under 10^-4 of the bound; 6000 elements still pass.
+        for n, m in ((21, 21), (12, 10), (6000, 1)):
+            fam = [(3 * i % n, (3 * i + 1) % n, (3 * i + 2) % n) for i in range(m)]
+            predicted = n * (n - 1) // 2 * ((6 * (1 + 9 * m) ** 3).bit_length() - 1)
+            weights = _reduction_weights(X3CInstance.of(n, fam), 1 + 9 * m)[0]
+            assert predicted <= sum(w.bit_length() for w in weights)
+            assert predicted < WEIGHT_BITS_LIMIT // (1 if n > 21 else 10**4)
 
 
 class TestGamma:
