@@ -14,9 +14,7 @@ from .bounded_dp import (
     ESTNode,
     PBSolution,
     deep_cost_bound,
-    est_compatible,
     est_cost,
-    est_height,
     est_to_search_tree,
     height_bound,
     optimal_bounded,
@@ -32,12 +30,7 @@ from .errors import (
     ResourceLimitError,
     TreeSearchError,
 )
-from .exact import (
-    enumerate_decision_trees,
-    opt_cost,
-    opt_cost_min_height,
-    optimal_first_queries,
-)
+from .exact import opt_cost, opt_cost_min_height
 from .fptas import fptas, scale_weights
 from .greedy import greedy
 from .io import (
@@ -56,10 +49,8 @@ from .model import (
     Query,
     cost,
     leaf_depths,
-    left_delete,
     query_depths,
     restrict,
-    right_delete,
     tree_height,
     tree_size,
     uninformative_ancestor_counts,

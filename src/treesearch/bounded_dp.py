@@ -70,8 +70,8 @@ PLP = tuple  # cells, each BLOCKED or UNASSIGNED
 SubforestId = tuple  # ("T", v) or ("F", u, f)
 
 # The DP's time grows about 2.5x per budget level (random n = 21 tree: 0.7 s
-# at budget 10, 4.9 s at 12), so larger budgets are refused by default.
-DEFAULT_HEIGHT_CAP = 12
+# at budget 10, 4.9 s at 12), so larger budgets are refused.
+HEIGHT_CAP = 12
 
 
 class ESTNode(_Record):
@@ -108,27 +108,6 @@ def est_cost(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] =
         if is_leaf and isinstance(a, int) and 0 <= a < tree.n and a in forest:
             total += d * tree.weight[a]
     return total
-
-
-def est_height(root: ESTNode) -> int:
-    return max(d for _, d in est_iter(root))
-
-
-def left_path(root: ESTNode) -> list[ESTNode]:
-    out = []
-    node = root
-    while node is not None:
-        out.append(node)
-        node = node.left
-    return out
-
-
-def est_compatible(root: ESTNode, plp: PLP) -> bool:
-    """Left-path length equals |P| and blocked cells of P are blocked in it."""
-    lp = left_path(root)
-    if len(lp) != len(plp):
-        return False
-    return all(node.assignment is BLOCKED for node, cell in zip(lp, plp) if cell is BLOCKED)
 
 
 def forest_nodes(tree: InputTree, fid: SubforestId) -> frozenset[int]:
@@ -457,7 +436,6 @@ def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]
 def optimal_bounded(
     tree: InputTree,
     budget: Optional[int] = None,
-    cap: int = DEFAULT_HEIGHT_CAP,
     ratio: int | Fraction | float = 1,
 ) -> tuple[int, DecisionNode]:
     """Optimal search tree via the EST dynamic program, exact by default and
@@ -466,9 +444,9 @@ def optimal_bounded(
     An explicit ``budget`` runs the DP once at that height; a too-small
     budget can make the problem infeasible. By default the budget is
     top = min(height_bound, n): both are sufficient for exactness and the
-    memo is O(n * 2^B), so the smaller wins. Budgets above ``cap`` raise
-    ResourceLimitError before any work (use greedy instead: the FPTAS runs
-    the same budget).
+    memo is O(n * 2^B), so the smaller wins. Budgets above ``HEIGHT_CAP``
+    (12, a constant of this module) raise ResourceLimitError before any
+    work (use greedy instead: the FPTAS runs the same budget).
 
     The default then deepens: it runs the DP at B = ceil(log2 n) + 1, ...,
     top - 1 (no search tree is shorter than ceil(log2 n)) and returns the
@@ -491,7 +469,7 @@ def optimal_bounded(
     c_B <= LB(B)). Weights are non-negative, so zero weights only weaken
     LB(B) and need no special case. TH(B) is a DP over the weights, O(n^4)
     at worst, so it is evaluated only here, after the EST DP has run at B,
-    and never for an explicit ``budget`` or a budget refused by ``cap``. The
+    and never for an explicit ``budget`` or a budget above the cap. The
     DP's work grows like 3^B, so when no smaller budget certifies, the runs
     below top together cost about half the run at top (more at small n,
     where fixed costs dominate).
@@ -503,9 +481,9 @@ def optimal_bounded(
     if budget is None:
         budget = min(height_bound(tree), max(tree.n, 1))
         deepen = range((tree.n - 1).bit_length() + 1, budget)
-    if budget > cap:
+    if budget > HEIGHT_CAP:
         raise ResourceLimitError(
-            f"height budget {budget} exceeds the cap {cap}; use greedy"
+            f"height budget {budget} exceeds the cap {HEIGHT_CAP}; use greedy"
         )
     for b in deepen:
         found = _solve_at(tree, b)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import diameter, exact, io as tio
-from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
+from .bounded_dp import optimal_bounded
 from .fptas import fptas
 from .greedy import greedy
 from .errors import (
@@ -106,11 +106,9 @@ def _run(alg: str, tree, args):
         strategy = greedy(tree)
         return cost(strategy, tree, check=False), strategy
     if alg == "dp":
-        return optimal_bounded(tree, budget=args.height, cap=args.cap)
+        return optimal_bounded(tree, budget=args.height)
     if alg == "fptas":
-        if args.eps is None:
-            raise InvalidInstanceError("--alg fptas requires --eps")
-        strategy, c = fptas(tree, args.eps, cap=args.cap)
+        strategy, c = fptas(tree, args.eps)
         return c, strategy
     if alg == "diam3":
         return diameter.solve_diam3(tree)
@@ -118,12 +116,14 @@ def _run(alg: str, tree, args):
 
 
 def cmd_solve(args) -> int:
+    if args.alg == "fptas" and args.eps is None:
+        args.usage_error("--alg fptas requires --eps")
     tree = tio.parse_instance(_read(args.input))
     t0 = time.perf_counter()
     alg = args.alg
     if alg == "auto":
-        # No DP: past --limit its budget is over the default cap except on
-        # zero-weight paths, where every strategy costs 0.
+        # No DP: past --limit its budget is over the DP's fixed height cap
+        # of 12 except on zero-weight paths, where every strategy costs 0.
         if diameter.tree_diameter(tree) <= 3:
             alg = "diam3"
         elif tree.n <= args.limit:
@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - t0
     _emit(tio.format_decision_tree(strategy), args.out)
     print(f"alg {alg}")
-    print(f"cost {c}")
+    print(f"cost {tio.format_int(c)}")
     print(f"height {tree_height(strategy)}")
     print(f"nodes {tree_size(strategy)}")
     print(f"time {elapsed:.3f}s")
@@ -151,7 +151,7 @@ def cmd_eval(args) -> int:
             print(f"violation: {v}")
         return EXIT_INVALID
     print("valid")
-    print(f"cost {cost(strategy, tree, check=False)}")
+    print(f"cost {tio.format_int(cost(strategy, tree, check=False))}")
     print(f"height {tree_height(strategy)}")
     return EXIT_OK
 
@@ -247,9 +247,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
     sp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT,
                     help="exact-solver node cap")
-    sp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP, help="height-budget cap for dp and fptas")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_solve)
+    sp.set_defaults(func=cmd_solve, usage_error=sp.error)
 
     ep = sub.add_parser("eval", help="validate and cost a strategy file")
     ep.add_argument("instance")
@@ -280,7 +279,6 @@ def _build_parser() -> _Parser:
     bp.add_argument("suite")
     bp.add_argument("--eps", type=_parse_eps, default="1/2")
     bp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT)
-    bp.add_argument("--cap", type=_parse_count, default=DEFAULT_HEIGHT_CAP)
     bp.add_argument("--json", default=None, help="also write a structured report")
     bp.set_defaults(func=cmd_bench, height=None)  # _run's dp then picks its own budget
     return p

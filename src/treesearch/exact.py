@@ -22,7 +22,7 @@ The pruned search finds costs, not the tie-break. Once a piece's cost c is
 known, the smallest optimal first query is the first split, by ascending
 id, whose two sides hit c - w(piece) exactly; each side is checked by a
 bounded search that stops as soon as it overshoots. ``opt_cost``'s
-strategy, ``optimal_first_queries`` and ``opt_cost_min_height`` all read
+strategy, the oracle's ``argmins`` and ``opt_cost_min_height`` all read
 splits this way, so they equal an exhaustive search with smallest-id
 tie-breaking. The search stays exponential where many splits have equal
 bounds, as NP-hardness demands even at diameter 4: on spiders with legs of
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from itertools import compress
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .bounds import huffman
 from .errors import ResourceLimitError
@@ -212,26 +212,3 @@ def opt_cost_min_height(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[in
     oracle = _Oracle(tree, limit)
     full = (1 << tree.n) - 1
     return oracle.solve(full)[0], oracle.min_height(full)
-
-
-def optimal_first_queries(tree: InputTree, limit: int = DEFAULT_LIMIT) -> frozenset[int]:
-    """All first queries achieving the optimum (argmin set at the root piece)."""
-    return frozenset(_Oracle(tree, limit).argmins((1 << tree.n) - 1))
-
-
-def enumerate_decision_trees(tree: InputTree, piece: Optional[int] = None) -> Iterator[DecisionNode]:
-    """Every valid decision tree for the instance; only sane for n <= 6."""
-    if piece is None:
-        piece = (1 << tree.n) - 1
-    sub = _subtree_masks(tree)
-
-    def gen(mask: int) -> Iterator[DecisionNode]:
-        if mask & (mask - 1) == 0:
-            yield Leaf(mask.bit_length() - 1)
-            return
-        for x, inside in _splits(sub, mask):
-            for no_side in gen(mask ^ inside):
-                for yes_side in gen(inside):
-                    yield Query(x, no_side, yes_side)
-
-    return gen(piece)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .bounded_dp import DEFAULT_HEIGHT_CAP, optimal_bounded
+from .bounded_dp import optimal_bounded
 from .model import DecisionNode, InputTree, cost
 
 if TYPE_CHECKING:
@@ -45,17 +45,15 @@ def scale_weights(tree: InputTree, eps: Fraction | int | str) -> InputTree:
     return InputTree(tree.parent, scaled, tree.children)
 
 
-def fptas(
-    tree: InputTree,
-    eps: Fraction | int | str,
-    cap: int = DEFAULT_HEIGHT_CAP,
-) -> tuple[DecisionNode, int]:
+def fptas(tree: InputTree, eps: Fraction | int | str) -> tuple[DecisionNode, int]:
     """(1 + eps)-approximate search tree, costed under the original weights.
 
-    The weights are scaled with eps/2 (``scale_weights``), and ``cap``
-    passes to ``optimal_bounded`` on the scaled instance, which deepens from
+    The weights are scaled with eps/2 (``scale_weights``), and
+    ``optimal_bounded`` runs on the scaled instance: it deepens from
     ceil(log2 n) + 1 and keeps the first result whose certified ratio is at
-    most rho = (1 + eps) / (1 + eps/2).
+    most rho = (1 + eps) / (1 + eps/2). Like ``optimal_bounded``, it raises
+    ResourceLimitError before the DP runs when the scaled tree's budget
+    min(height_bound, n) is above the DP's height cap.
 
     Why that is (1 + eps)-optimal: let w' be the scaled weights, K =
     (eps/2) * W / n^2, S the result and S* an optimal tree for w, of cost
@@ -69,5 +67,5 @@ def fptas(
     eps = _as_fraction(eps)
     half = eps / 2
     scaled = scale_weights(tree, half)
-    _, strategy = optimal_bounded(scaled, cap=cap, ratio=(1 + eps) / (1 + half))
+    _, strategy = optimal_bounded(scaled, ratio=(1 + eps) / (1 + half))
     return strategy, cost(strategy, tree)

@@ -8,14 +8,55 @@ single line; both the writer and the reader walk the records with an
 explicit stack, so strategies of any height round-trip, and indented files
 of the same records parse too. X3C files:
 first line ``n m``, then m lines of three 0-based element indices.
+
+Weights and costs can be far longer than the 4300 decimal digits to which
+Python limits ``int``/``str`` conversions by default (the reduction's
+weights reach that size), so they go through ``parse_int`` and
+``format_int``, which convert long numbers in pieces short enough that the
+limit never applies and leave the interpreter-global limit as it is.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
 from .model import DecisionNode, InputTree, Leaf, Query
+
+
+# Up to this many digits a conversion is never checked against the limit
+# (the limit cannot be set below it).
+_SHORT = sys.int_info.str_digits_check_threshold
+_SHORT_BOUND = 10 ** _SHORT
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for decimal text of any length, raising ValueError on
+    bad text as ``int`` does; text past the unchecked length must be ASCII
+    digits after an optional sign. Long text is read in halves."""
+    if len(text) <= _SHORT:
+        return int(text)
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    if text[0] in "+-":
+        value = parse_int(text[1:])
+        return -value if text[0] == "-" else value
+    k = len(text) // 2
+    return parse_int(text[:-k]) * 10 ** k + parse_int(text[-k:])
+
+
+def format_int(value: int) -> str:
+    """``str(value)`` for an int of any size; long values are written in
+    halves split at a power of ten."""
+    if -_SHORT_BOUND < value < _SHORT_BOUND:
+        return str(value)
+    if value < 0:
+        return "-" + format_int(-value)
+    k = value.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+    high, low = divmod(value, 10 ** k)
+    return format_int(high) + format_int(low).zfill(k)
 
 
 def parse_instance(text: str) -> InputTree:
@@ -47,7 +88,7 @@ def parse_instance(text: str) -> InputTree:
         if len(parts) != 3:
             raise InvalidInstanceError(f"line {lineno}: expected 'id parent_id weight'")
         try:
-            v, p, w = int(parts[0]), int(parts[1]), int(parts[2])
+            v, p, w = int(parts[0]), int(parts[1]), parse_int(parts[2])
         except ValueError:
             raise InvalidInstanceError(f"line {lineno}: expected integers 'id parent_id weight'") from None
         if not 0 <= v < n:
@@ -77,7 +118,7 @@ def format_instance(tree: InputTree) -> str:
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        out.append(f"{v} {tree.parent[v]} {tree.weight[v]}")
+        out.append(f"{v} {tree.parent[v]} {format_int(tree.weight[v])}")
         for c in reversed(tree.children[v]):
             stack.append(c)
     return "\n".join(out) + "\n"

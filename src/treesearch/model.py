@@ -414,46 +414,6 @@ def cost(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = None,
     return sum(d * w[n.node] for n, d in iter_nodes(root) if isinstance(n, Leaf))
 
 
-Path = Sequence[str]  # each step "no" or "yes"
-
-
-def _walk(root: DecisionNode, path: Path) -> tuple[list[tuple[Query, str]], DecisionNode]:
-    """The (query, step) pairs along ``path`` and the node it reaches."""
-    spine = []
-    node = root
-    for step in path:
-        if not isinstance(node, Query):
-            raise InvalidDecisionTreeError([f"path step {step!r} descends below a leaf"])
-        if step not in ("no", "yes"):
-            raise InvalidDecisionTreeError([f"bad path step {step!r}"])
-        spine.append((node, step))
-        node = node.no if step == "no" else node.yes
-        if node is None:
-            raise InvalidDecisionTreeError(["path leads to an empty slot"])
-    return spine, node
-
-
-def _replace(spine: list[tuple[Query, str]], repl: Optional[DecisionNode]) -> Optional[DecisionNode]:
-    """Rebuild the queries along ``spine`` bottom-up with ``repl`` at its end."""
-    for node, step in reversed(spine):
-        repl = Query(node.query, repl, node.yes) if step == "no" else Query(node.query, node.no, repl)
-    return repl
-
-
-def left_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
-    """Remove the node at ``path`` together with its NO subtree; its YES
-    subtree takes its place (None when deleting a leaf)."""
-    spine, target = _walk(root, path)
-    return _replace(spine, target.yes if isinstance(target, Query) else None)
-
-
-def right_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
-    """Remove the node at ``path`` together with its YES subtree; its NO
-    subtree takes its place."""
-    spine, target = _walk(root, path)
-    return _replace(spine, target.no if isinstance(target, Query) else None)
-
-
 def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionNode:
     """Prune a valid decision tree down to a strategy for ``piece``.
 

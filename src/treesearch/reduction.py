@@ -475,6 +475,15 @@ def cost_gap(red: ReductionOutput, spec: Iterable[int]) -> int:
 
 
 SWEEP_LIMIT = 20  # most sets decide_cover sweeps: 2^m realizations
+# Most integer steps decide_cover's sweep may take, predicted as
+# 2^m * (m + |U|): each realization's fold walks every set and element once.
+# Measured in-process (Python 3.11, 2-vCPU VM): 960 ns per step on 18
+# cyclic sets over 18 elements (9.4e6 steps, 9.1 s), 118 ns per step on 16
+# disjoint sets over 1002 elements (6.7e7 steps, 7.9 s), so the limit runs
+# for 8 to 65 s, about what SWEEP_LIMIT admits (20 cyclic sets over 21
+# elements: 4.3e7 steps, about 35 s). The families of the tests and the
+# benchmark below SWEEP_LIMIT predict at most 2^10 * 22 steps.
+SWEEP_STEPS_LIMIT = 2**26
 # Most bits build lets the element weights take, as it predicts them (a lower
 # bound on their true size). Measured in-process (Python 3.11, 2-vCPU VM): one set over n = 6000
 # elements predicts 2.2e8 bits, and the recurrence then takes 0.18 s and
@@ -503,8 +512,9 @@ def decide_cover(red: ReductionOutput) -> bool:
     minimum is also cross-checked against the exhaustive solver (optimal
     strategies are realizations): up to ``exact.DEFAULT_LIMIT`` nodes.
 
-    Work is predicted before the sweep: 2^m folds, so an m above
-    ``SWEEP_LIMIT`` is refused up front with ``ResourceLimitError``.
+    Work is predicted before the sweep: 2^m folds of m + |U| steps each,
+    so an m above ``SWEEP_LIMIT``, or 2^m * (m + |U|) above
+    ``SWEEP_STEPS_LIMIT``, is refused up front with ``ResourceLimitError``.
     Measured in-process (Python 3.11, 2-vCPU VM) on cyclic families
     {i, i+1, i+2} over 3 * ceil(m/3) elements, diam4 / deg16: 0.43 / 0.49 s
     at m = 14, 2.1 / 2.0 s at m = 16 and 8.2 / 8.7 s at m = 18, about x4.2
@@ -512,6 +522,12 @@ def decide_cover(red: ReductionOutput) -> bool:
     m = red.x3c.m
     if m > SWEEP_LIMIT:
         raise ResourceLimitError(f"{m} sets: 2^m realization sweep above the limit")
+    n = red.x3c.universe_size
+    steps = (1 << m) * (m + n)
+    if steps > SWEEP_STEPS_LIMIT:
+        raise ResourceLimitError(
+            f"{m} sets over {n} elements: the 2^m realization sweep would take about "
+            f"{steps} steps, above the limit {SWEEP_STEPS_LIMIT}")
     tree = red.instance
     fold = _cost_fold(red)
     d_a_cost = cost(realization(red, frozenset()), tree)

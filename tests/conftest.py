@@ -3,7 +3,27 @@ import sys
 import pytest
 
 from treesearch import InputTree, Leaf, Query, parse_instance, solve_star
+from treesearch.exact import _splits, _subtree_masks
 from treesearch.gen import seeded_weights, star_tree
+
+
+def enumerate_decision_trees(tree, piece=None):
+    """Every valid decision tree for the instance, or for ``piece`` (an
+    n-bit mask keyed by node id); only sane for n <= 6."""
+    if piece is None:
+        piece = (1 << tree.n) - 1
+    sub = _subtree_masks(tree)
+
+    def gen(mask):
+        if mask & (mask - 1) == 0:
+            yield Leaf(mask.bit_length() - 1)
+            return
+        for x, inside in _splits(sub, mask):
+            for no_side in gen(mask ^ inside):
+                for yes_side in gen(inside):
+                    yield Query(x, no_side, yes_side)
+
+    return gen(piece)
 
 
 @pytest.fixture

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from treesearch import InputTree, NodePiece, format_instance, parse_decision_tree, parse_instance
+import treesearch
+from treesearch import (
+    InputTree, NodePiece, bounded_dp, exact, format_instance, model, parse_decision_tree, parse_instance,
+)
 from treesearch.cli import main
 from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
 
@@ -54,9 +57,12 @@ class TestSolve:
         assert "cost 10" in out
 
     def test_fptas_requires_eps(self, capsys, path3_file):
-        code, _, err = run(capsys, "solve", path3_file, "--alg", "fptas")
-        assert code == 2
-        assert "eps" in err
+        # A usage error, caught before the instance is read.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "/nonexistent/instance.txt", "--alg", "fptas"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: treesearch solve" in err and "--alg fptas requires --eps" in err
 
     def test_all_algorithms_agree_on_fixture(self, capsys, tmp_path, path3_file):
         for alg in ("exact", "greedy", "dp", "auto"):
@@ -102,6 +108,22 @@ class TestSolve:
         assert code == 2
         assert "line 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("weight, printed", [
+        ("9" * 4300, "4" + "9" * 4299 + "5"),  # 5 * (10^4300 - 1)
+        ("1" + "0" * 4400, "5" + "0" * 4400),
+    ], ids=["4300-digit-weights", "4401-digit-weights"])
+    def test_weights_past_the_int_string_limit(self, capsys, tmp_path, weight, printed):
+        # Python converts at most 4300 digits between int and str by default;
+        # the optimum on a unit-shaped path3 costs 5 times the weight.
+        inst, out = tmp_path / "inst.txt", tmp_path / "s.json"
+        inst.write_text(f"3 0\n0 -1 {weight}\n1 0 {weight}\n2 1 {weight}\n")
+        code, stdout, err = run(capsys, "solve", str(inst), "--alg", "exact", "--out", str(out))
+        assert code == 0, err
+        assert f"cost {printed}" in stdout.splitlines()
+        code, evaluated, err = run(capsys, "eval", str(inst), str(out))
+        assert code == 0, err
+        assert evaluated.splitlines()[:2] == ["valid", f"cost {printed}"]
+
     def test_resource_cap(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         for n in (21, 40):
@@ -124,17 +146,23 @@ class TestSolve:
         ["gen", "random", "3", "--weights=-1..3"],
         ["solve", "x.txt", "--height", "-1"],
         ["solve", "x.txt", "--limit", "-1"],
-        ["solve", "x.txt", "--cap", "-1"],
         ["bench", "suite", "--limit", "-1"],
-        ["bench", "suite", "--cap", "-1"],
     ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative",
-            "height-negative", "limit-negative", "cap-negative", "bench-limit-negative",
-            "bench-cap-negative"])
+            "height-negative", "limit-negative", "bench-limit-negative"])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve", "x.txt", "--cap", "5"], ["bench", "suite", "--cap", "5"]],
+                             ids=["solve", "bench"])
+    def test_height_cap_is_not_an_option(self, capsys, argv):
+        # The DP's height cap is a constant of bounded_dp, not a setting.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 class TestEval:
@@ -178,14 +206,14 @@ def _spider(legs):
     return InputTree(parent, [1] * len(parent))
 
 
-def _cli(*argv, address_space=None):
+def _cli(*argv, address_space=None, timeout=120):
     """The CLI in a fresh interpreter, at its default recursion limit; with
     ``address_space`` (bytes) the child alone runs under that RLIMIT_AS."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, "-m", "treesearch.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=limit)
 
 
 class TestTallStrategies:
@@ -292,6 +320,32 @@ class TestReduce:
         assert "realization sweep above the limit" in err
         assert time.perf_counter() - t0 < 1.0
 
+
+    def test_weights_past_the_int_string_limit_round_trip(self, capsys, tmp_path):
+        # One set at the end of a 1140-element universe: the largest weight
+        # has 14,299 bits, about 4300 decimal digits.
+        x3c, inst, out = tmp_path / "x.x3c", tmp_path / "inst.txt", tmp_path / "s.json"
+        x3c.write_text("1140 1\n1137 1138 1139\n")
+        code, stdout, err = run(capsys, "reduce", "--x3c", str(x3c), "--out", str(inst))
+        assert code == 0, err
+        assert "max-weight-bits 14299" in stdout.splitlines()
+        code, stdout, err = run(capsys, "solve", str(inst), "--out", str(out))
+        assert code == 0, err
+        printed = next(line for line in stdout.splitlines() if line.startswith("cost "))
+        code, evaluated, err = run(capsys, "eval", str(inst), str(out))
+        assert code == 0, err
+        assert evaluated.splitlines()[:2] == ["valid", printed]
+        assert format_instance(parse_instance(inst.read_text())) == inst.read_text()
+    def test_verify_lemma2_refuses_long_sweep_up_front(self, tmp_path):
+        # 18 disjoint sets over 1500 elements: within SWEEP_LIMIT, but the
+        # 2^18 folds of 18 + 1500 steps each would run for about a minute.
+        x3c = tmp_path / "m18.x3c"
+        x3c.write_text("1500 18\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(18)))
+        t0 = time.perf_counter()
+        done = _cli("verify-lemma2", "--x3c", str(x3c), timeout=20)
+        assert done.returncode == 3, done.stderr
+        assert "18 sets over 1500 elements" in done.stderr and "Traceback" not in done.stderr
+        assert time.perf_counter() - t0 < 10
 
     @pytest.mark.parametrize("command", ["reduce", "verify-lemma2"])
     @pytest.mark.parametrize("text", ["999999999 0\n", "3000000 1\n0 1 2\n"], ids=["no-sets", "one-set"])
@@ -419,9 +473,19 @@ def test_recursion_limit_call_sites():
 
 def test_subtree_mask_call_sites():
     """The n-bit subtree masks take O(n^2) bits, so only the exact oracle,
-    whose n is capped by its node limit, and its enumerator may build them;
-    the polynomial solvers and validation use preorder intervals."""
-    assert _call_sites("_subtree_masks") == ["exact._Oracle.__init__", "exact.enumerate_decision_trees"]
+    whose n is capped by its node limit, builds them; the polynomial solvers
+    and validation use preorder intervals."""
+    assert _call_sites("_subtree_masks") == ["exact._Oracle.__init__"]
+
+
+def test_height_cap_and_test_only_helpers_call_sites():
+    """The DP's height cap is decided in bounded_dp alone, and the library
+    keeps none of the searches and helpers that only tests call."""
+    sites = _call_sites("HEIGHT_CAP")
+    assert sites and {site.split(".")[0] for site in sites} == {"bounded_dp"}, sites
+    for name in ("enumerate_decision_trees", "optimal_first_queries", "est_compatible", "est_height",
+                 "left_delete", "right_delete", "DEFAULT_HEIGHT_CAP"):
+        assert _call_sites(name) == [], name
 
 
 def test_id_mask_call_sites():
@@ -430,6 +494,7 @@ def test_id_mask_call_sites():
     solvers take node sets, and only the oracle reads a piece's weights."""
     for name in ("full_mask", "mask_weight", "_bits", "forest_mask"):
         assert _call_sites(name) == [], name
+        assert not any(hasattr(module, name) for module in (treesearch, bounded_dp, exact, model)), name
     sites = _call_sites("_piece_weights")
     assert sites and {site.split(".")[0] for site in sites} == {"exact"}, sites
     assert NodePiece.__slots__ == ("nodes", "top")

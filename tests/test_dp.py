@@ -17,10 +17,7 @@ from treesearch import (
     ResourceLimitError,
     cost,
     deep_cost_bound,
-    enumerate_decision_trees,
-    est_compatible,
     est_cost,
-    est_height,
     est_to_search_tree,
     format_decision_tree,
     height_bound,
@@ -34,12 +31,35 @@ from treesearch import (
 )
 from treesearch import bounded_dp
 from treesearch.bounds import huffman, tall_huffman
-from treesearch.bounded_dp import forest_nodes
+from treesearch.bounded_dp import est_iter, forest_nodes
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, seeded_weights, unit_weights
 from treesearch.model import Diagnostics
 
+from conftest import enumerate_decision_trees
+
 U, B = UNASSIGNED, BLOCKED
+
+
+def est_height(root):
+    return max(d for _, d in est_iter(root))
+
+
+def left_path(root):
+    out = []
+    node = root
+    while node is not None:
+        out.append(node)
+        node = node.left
+    return out
+
+
+def est_compatible(root, plp):
+    """Left-path length equals |P| and blocked cells of P are blocked in it."""
+    lp = left_path(root)
+    if len(lp) != len(plp):
+        return False
+    return all(node.assignment is BLOCKED for node, cell in zip(lp, plp) if cell is BLOCKED)
 
 
 def _path_bound(tree, height):

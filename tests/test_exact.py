@@ -9,11 +9,9 @@ from treesearch import (
     Query,
     ResourceLimitError,
     cost,
-    enumerate_decision_trees,
     format_decision_tree,
     opt_cost,
     opt_cost_min_height,
-    optimal_first_queries,
     tree_height,
     validate,
 )
@@ -21,9 +19,17 @@ from treesearch import bounded_dp
 from treesearch.exact import _Oracle, _splits, _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
 
+from conftest import enumerate_decision_trees
+
 
 def _id_mask(nodes):
     return sum(1 << v for v in nodes)
+
+
+def optimal_first_queries(tree):
+    """All first queries achieving the optimum: the oracle's argmin set at
+    the root piece."""
+    return frozenset(_Oracle(tree).argmins((1 << tree.n) - 1))
 
 
 def _piece_weight(tree, piece):

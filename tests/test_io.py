@@ -18,6 +18,7 @@ from treesearch import (
     parse_x3c,
 )
 from treesearch.gen import random_tree
+from treesearch.io import format_int, parse_int
 
 
 def test_instance_round_trip_random():
@@ -25,6 +26,23 @@ def test_instance_round_trip_random():
     for _ in range(30):
         t = random_tree(rng.randint(1, 25), rng.randrange(10**6), (0, 99))
         assert parse_instance(format_instance(t)) == t
+
+
+def test_long_integers_convert_in_pieces():
+    # Past Python's default 4300-digit int-string limit, without touching it.
+    rng = random.Random(25)
+    for digits in (1, 639, 640, 641, 4300, 4301, 9000, 30_000):
+        for v in (10 ** (digits - 1), 10 ** digits - 1, rng.randrange(10 ** (digits - 1), 10 ** digits)):
+            text = format_int(v)
+            assert len(text) == digits and text[0] != "0"
+            assert parse_int(text) == v and parse_int("+00" + text) == v
+            assert format_int(-v) == "-" + text and parse_int("-" + text) == -v
+    assert format_int(10 ** 5000) == "1" + "0" * 5000
+    for bad in ("1" * 5000 + "x", "--" + "1" * 5000, "1_0" * 2000, "١" * 5000):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+    with pytest.raises(InvalidInstanceError, match="line 3: expected integers"):
+        parse_instance("2 0\n0 -1 1\n1 0 " + "9" * 5000 + "z\n")
 
 
 def test_instance_round_trip_preserves_children_order():

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Sequence
 
 import pytest
 
@@ -15,23 +16,22 @@ from treesearch import (
     NodePiece,
     Query,
     cost,
-    enumerate_decision_trees,
     format_decision_tree,
     greedy,
     leaf_depths,
-    left_delete,
     opt_cost,
     parse_decision_tree,
     restrict,
-    right_delete,
     uninformative_ancestor_counts,
     validate,
 )
 from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, random_tree
-from treesearch.model import Diagnostics, build_decision_tree, iter_nodes
+from treesearch.model import DecisionNode, Diagnostics, build_decision_tree, iter_nodes
 from treesearch.reduction import ReductionOutput, X3CInstance, build
+
+from conftest import enumerate_decision_trees
 
 
 def _every_small_tree(max_n):
@@ -351,6 +351,48 @@ class TestValidate:
                     assert uninformative_ancestor_counts(case, piece) == \
                         _reference_uninformative_ancestor_counts(case, piece), (t.parent, mask, case)
         assert checked > 10**4
+
+
+# The paper's deletion operations on a decision tree, addressed by the
+# NO/YES steps from its root. ``est_to_search_tree`` performs them inline.
+Path = Sequence[str]  # each step "no" or "yes"
+
+
+def _walk(root: DecisionNode, path: Path) -> tuple[list[tuple[Query, str]], DecisionNode]:
+    """The (query, step) pairs along ``path`` and the node it reaches."""
+    spine = []
+    node = root
+    for step in path:
+        if not isinstance(node, Query):
+            raise InvalidDecisionTreeError([f"path step {step!r} descends below a leaf"])
+        if step not in ("no", "yes"):
+            raise InvalidDecisionTreeError([f"bad path step {step!r}"])
+        spine.append((node, step))
+        node = node.no if step == "no" else node.yes
+        if node is None:
+            raise InvalidDecisionTreeError(["path leads to an empty slot"])
+    return spine, node
+
+
+def _replace(spine: list[tuple[Query, str]], repl: Optional[DecisionNode]) -> Optional[DecisionNode]:
+    """Rebuild the queries along ``spine`` bottom-up with ``repl`` at its end."""
+    for node, step in reversed(spine):
+        repl = Query(node.query, repl, node.yes) if step == "no" else Query(node.query, node.no, repl)
+    return repl
+
+
+def left_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
+    """Remove the node at ``path`` together with its NO subtree; its YES
+    subtree takes its place (None when deleting a leaf)."""
+    spine, target = _walk(root, path)
+    return _replace(spine, target.yes if isinstance(target, Query) else None)
+
+
+def right_delete(root: DecisionNode, path: Path) -> Optional[DecisionNode]:
+    """Remove the node at ``path`` together with its YES subtree; its NO
+    subtree takes its place."""
+    spine, target = _walk(root, path)
+    return _replace(spine, target.no if isinstance(target, Query) else None)
 
 
 class TestDeletions:
