@@ -6,23 +6,37 @@ queries. The package provides the exact oracle, the greedy 2-approximation,
 the bounded-height exact DP and its FPTAS wrapper, polynomial solvers for
 diameter <= 3, and the X3C hardness-instance generator with its checkable
 cost identities.
+
+Importing the package runs only ``errors``, ``model``, ``io``, ``greedy``
+and ``fptas``. The heavier modules ``bounded_dp``, ``bounds``, ``exact``,
+``diameter`` and ``reduction`` are bound as package attributes and sit in
+``sys.modules`` from the start, but each runs only when one of its
+attributes is first read, so a CLI subcommand runs only the modules it
+uses. Their public names are re-exported on first access.
 """
 
-from .bounded_dp import (
-    BLOCKED,
-    UNASSIGNED,
-    ESTNode,
-    PBSolution,
-    deep_cost_bound,
-    est_cost,
-    est_to_search_tree,
-    height_bound,
-    optimal_bounded,
-    search_tree_to_est,
-    solve_pb,
-    validate_est,
-)
-from .diameter import solve_diam3, solve_star, tree_diameter
+import importlib.util as _util
+import sys as _sys
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` so that it runs on its first attribute read."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Bound here, before any submodule runs: ``from . import exact`` then finds
+# the attribute instead of importing the module, which would run it.
+bounded_dp = _lazy("bounded_dp")
+bounds = _lazy("bounds")
+diameter = _lazy("diameter")
+exact = _lazy("exact")
+reduction = _lazy("reduction")
+
 from .errors import (
     InfeasibleError,
     InvalidDecisionTreeError,
@@ -30,7 +44,6 @@ from .errors import (
     ResourceLimitError,
     TreeSearchError,
 )
-from .exact import opt_cost, opt_cost_min_height
 from .fptas import fptas, scale_weights
 from .greedy import greedy
 from .io import (
@@ -56,22 +69,55 @@ from .model import (
     uninformative_ancestor_counts,
     validate,
 )
-from .reduction import (
-    ReductionOutput,
-    X3CInstance,
-    build,
-    build_T,
-    build_Tb,
-    cost_gap,
-    cover_threshold,
-    decide_cover,
-    gamma,
-    pi_names,
-    pi_sequence,
-    realization,
-    realization_cost,
-    x3c_brute,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY_EXPORTS = {
+    "bounded_dp": (
+        "BLOCKED",
+        "UNASSIGNED",
+        "ESTNode",
+        "PBSolution",
+        "deep_cost_bound",
+        "est_cost",
+        "est_to_search_tree",
+        "height_bound",
+        "optimal_bounded",
+        "search_tree_to_est",
+        "solve_pb",
+        "validate_est",
+    ),
+    "diameter": ("solve_diam3", "solve_star", "tree_diameter"),
+    "exact": ("opt_cost", "opt_cost_min_height"),
+    "reduction": (
+        "ReductionOutput",
+        "X3CInstance",
+        "build",
+        "build_T",
+        "build_Tb",
+        "cost_gap",
+        "cover_threshold",
+        "decide_cover",
+        "gamma",
+        "pi_names",
+        "pi_sequence",
+        "realization",
+        "realization_cost",
+        "x3c_brute",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HOME))
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A lazy module's public name, read from that module (which runs it)."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

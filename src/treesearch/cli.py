@@ -14,8 +14,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import diameter, exact, io as tio
-from .bounded_dp import optimal_bounded
+from . import bounded_dp, diameter, exact, io as tio, reduction
 from .fptas import fptas
 from .greedy import greedy
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
     TreeSearchError,
 )
 from .model import cost, tree_height, tree_size, validate
-from .reduction import X3CInstance, build, decide_cover, pi_names, x3c_brute
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,15 +96,21 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _limit(args) -> int:
+    """--limit, else the exact solver's default (read only here: reading it
+    runs ``exact``)."""
+    return exact.DEFAULT_LIMIT if args.limit is None else args.limit
+
+
 def _run(alg: str, tree, args):
     """(cost, strategy) of one named algorithm under the solve options."""
     if alg == "exact":
-        return exact.opt_cost(tree, limit=args.limit)
+        return exact.opt_cost(tree, limit=_limit(args))
     if alg == "greedy":
         strategy = greedy(tree)
         return cost(strategy, tree, check=False), strategy
     if alg == "dp":
-        return optimal_bounded(tree, budget=args.height)
+        return bounded_dp.optimal_bounded(tree, budget=args.height)
     if alg == "fptas":
         strategy, c = fptas(tree, args.eps)
         return c, strategy
@@ -126,7 +130,7 @@ def cmd_solve(args) -> int:
         # of 12 except on zero-weight paths, where every strategy costs 0.
         if diameter.tree_diameter(tree) <= 3:
             alg = "diam3"
-        elif tree.n <= args.limit:
+        elif tree.n <= _limit(args):
             alg = "exact"
         else:
             alg = "greedy"
@@ -174,10 +178,10 @@ def cmd_gen(args) -> int:
 
 def cmd_reduce(args) -> int:
     n, fam = tio.parse_x3c(_read(args.x3c))
-    inst = X3CInstance.of(n, fam)
-    red = build(inst, args.variant)
+    inst = reduction.X3CInstance.of(n, fam)
+    red = reduction.build(inst, args.variant)
     _emit(tio.format_instance(red.instance), args.out)
-    print("pi " + " ".join(pi_names(inst)))
+    print("pi " + " ".join(reduction.pi_names(inst)))
     print(f"nodes {red.instance.n}")
     print(f"max-weight-bits {max(red.instance.weight).bit_length()}")
     return EXIT_OK
@@ -185,14 +189,35 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify_lemma2(args) -> int:
     n, fam = tio.parse_x3c(_read(args.x3c))
-    inst = X3CInstance.of(n, fam)
-    red = build(inst, args.variant)
-    via_tree = decide_cover(red)
-    via_brute = x3c_brute(inst)
+    inst = reduction.X3CInstance.of(n, fam)
+    red = reduction.build(inst, args.variant)
+    via_tree = reduction.decide_cover(red)
+    via_brute = reduction.x3c_brute(inst)
     print(f"decide-cover {'yes' if via_tree else 'no'}")
     print(f"x3c-brute {'yes' if via_brute else 'no'}")
     print("agreement " + ("ok" if via_tree == via_brute else "MISMATCH"))
     return EXIT_OK if via_tree == via_brute else EXIT_INVALID
+
+
+_BENCH_ALGS = ("exact", "greedy", "dp", "fptas")
+
+
+def _cell(value) -> str:
+    """A bench table cell; ints of any length go through ``format_int``."""
+    if value is None:
+        return "skipped"
+    return tio.format_int(value) if isinstance(value, int) else str(value)
+
+
+def _json_cost(value):
+    """A cost as a JSON number, or as its decimal string when it is longer
+    than sys.int_info.str_digits_check_threshold digits: past that length
+    ``json.dumps`` and ``json.loads`` may refuse to convert it, depending on
+    the interpreter's int-string limit."""
+    if value is None:
+        return None
+    text = tio.format_int(value)
+    return value if len(text) <= sys.int_info.str_digits_check_threshold else text
 
 
 def cmd_bench(args) -> int:
@@ -209,7 +234,7 @@ def cmd_bench(args) -> int:
         try:
             tree = tio.parse_instance(path.read_text())
             row["n"] = tree.n
-            for alg in ("exact", "greedy", "dp", "fptas"):
+            for alg in _BENCH_ALGS:
                 t0 = time.perf_counter()
                 try:
                     row[alg], _ = _run(alg, tree, args)
@@ -227,12 +252,12 @@ def cmd_bench(args) -> int:
     header = "  ".join(f"{c:>12}" for c in cols)
     print(header)
     for row in rows:
-        print("  ".join(
-            f"{('skipped' if row.get(c, '') is None else row.get(c, '')):>12}" for c in cols))
+        print("  ".join(f"{_cell(row.get(c, '')):>12}" for c in cols))
     if args.json:
         import json  # imported here: only this report writes JSON
 
-        _write(args.json, json.dumps({"eps": str(args.eps), "rows": rows}, indent=2) + "\n")
+        report = [{k: _json_cost(v) if k in _BENCH_ALGS else v for k, v in row.items()} for row in rows]
+        _write(args.json, json.dumps({"eps": str(args.eps), "rows": report}, indent=2) + "\n")
     return EXIT_INVALID if failed else EXIT_OK
 
 
@@ -245,8 +270,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
     sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
     sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
-    sp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT,
-                    help="exact-solver node cap")
+    sp.add_argument("--limit", type=_parse_count, default=None,
+                    help="exact-solver node cap (default: exact.DEFAULT_LIMIT)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve, usage_error=sp.error)
 
@@ -278,8 +303,11 @@ def _build_parser() -> _Parser:
     bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
     bp.add_argument("suite")
     bp.add_argument("--eps", type=_parse_eps, default="1/2")
-    bp.add_argument("--limit", type=_parse_count, default=exact.DEFAULT_LIMIT)
-    bp.add_argument("--json", default=None, help="also write a structured report")
+    bp.add_argument("--limit", type=_parse_count, default=None,
+                    help="exact-solver node cap (default: exact.DEFAULT_LIMIT)")
+    bp.add_argument("--json", default=None,
+                    help="also write a structured report; a cost longer than "
+                         "sys.int_info.str_digits_check_threshold digits is written as a decimal string")
     bp.set_defaults(func=cmd_bench, height=None)  # _run's dp then picks its own budget
     return p
 

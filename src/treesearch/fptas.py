@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .bounded_dp import optimal_bounded
+from . import bounded_dp
 from .model import DecisionNode, InputTree, cost
 
 if TYPE_CHECKING:
@@ -67,5 +67,5 @@ def fptas(tree: InputTree, eps: Fraction | int | str) -> tuple[DecisionNode, int
     eps = _as_fraction(eps)
     half = eps / 2
     scaled = scale_weights(tree, half)
-    _, strategy = optimal_bounded(scaled, ratio=(1 + eps) / (1 + half))
+    _, strategy = bounded_dp.optimal_bounded(scaled, ratio=(1 + eps) / (1 + half))
     return strategy, cost(strategy, tree)

@@ -16,6 +16,7 @@ from treesearch import (
 )
 from treesearch.cli import main
 from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
+from treesearch.io import format_int, parse_int
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -395,6 +396,24 @@ class TestBench:
         assert {r["instance"] for r in rows} == {"p3.txt", "star.txt"}
         assert all(r["greedy_ratio"] <= 2.0 for r in rows)
 
+    def test_costs_past_the_int_string_limit(self, capsys, tmp_path):
+        # Weights of 4300 nines: each cost is longer than Python's default
+        # int-string limit, so neither str() nor json.dumps converts it.
+        w = format_int(10 ** 4300 - 1)
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "p3.txt").write_text(f"3 0\n0 -1 {w}\n1 0 {w}\n2 1 {w}\n")
+        code, out, _ = run(capsys, "solve", str(suite / "p3.txt"), "--alg", "exact")
+        assert code == 0
+        solved = parse_int(next(ln for ln in out.splitlines() if ln.startswith("cost ")).split()[1])
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "bench", str(suite), "--json", str(report))
+        assert code == 0 and "Traceback" not in err
+        assert format_int(solved) in out
+        (row,) = json.loads(report.read_text())["rows"]
+        assert all(parse_int(row[alg]) == solved for alg in ("exact", "dp"))
+        assert parse_int(row["greedy"]) >= solved and row["greedy_ratio"] <= 2.0
+
     def test_empty_suite_errors(self, capsys, tmp_path):
         suite = tmp_path / "empty"
         suite.mkdir()
@@ -439,6 +458,40 @@ def test_cli_import_graph():
     loaded = set(done.stdout.split())
     assert not {"dataclasses", "decimal", "fractions", "inspect", "json", "treesearch.gen"} & loaded
     assert {f"treesearch.{name}" for name in module.SPANS} <= loaded
+
+
+# Prints, after the CLI's output, the solver modules whose code has run. A
+# module registered but not yet run is not a plain ModuleType; reading any
+# attribute of it would run it, so only its type is looked at.
+_RAN = """
+import sys, types
+from treesearch.cli import main
+code = main(sys.argv[1:])
+print("ran", *(m for m in ("bounded_dp", "bounds", "diameter", "exact", "reduction")
+               if type(sys.modules.get(f"treesearch.{m}")) is types.ModuleType))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, ran, not_ran", [
+    ("eval", set(), {"bounded_dp", "diameter", "exact", "reduction"}),
+    ("solve-exact", {"exact"}, {"bounded_dp", "reduction"}),
+    ("verify-lemma2", {"reduction"}, {"bounded_dp"}),
+], ids=["eval", "solve-exact", "verify-lemma2"])
+def test_subcommands_run_only_the_modules_they_use(capsys, tmp_path, command, ran, not_ran):
+    inst, strategy, x3c = tmp_path / "p5.txt", tmp_path / "s.json", tmp_path / "m1.x3c"
+    inst.write_text(PATH5)
+    x3c.write_text("3 1\n0 1 2\n")
+    assert run(capsys, "solve", str(inst), "--alg", "greedy", "--out", str(strategy))[0] == 0
+    argv = {"eval": ["eval", str(inst), str(strategy)],
+            "solve-exact": ["solve", str(inst), "--alg", "exact", "--out", str(tmp_path / "e.json")],
+            "verify-lemma2": ["verify-lemma2", "--x3c", str(x3c)]}[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _RAN, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    executed = set(done.stdout.splitlines()[-1].split()[1:])
+    assert ran <= executed and not executed & not_ran, executed
 
 
 def _call_sites(wanted):
