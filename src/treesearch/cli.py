@@ -18,6 +18,7 @@ from . import bounded_dp, diameter, exact, io as tio, reduction
 from .fptas import fptas
 from .greedy import greedy
 from .errors import (
+    DEFAULT_LIMIT,
     InfeasibleError,
     InvalidDecisionTreeError,
     InvalidInstanceError,
@@ -97,9 +98,8 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
 
 
 def _limit(args) -> int:
-    """--limit, else the exact solver's default (read only here: reading it
-    runs ``exact``)."""
-    return exact.DEFAULT_LIMIT if args.limit is None else args.limit
+    """--limit, else the exact solvers' default."""
+    return DEFAULT_LIMIT if args.limit is None else args.limit
 
 
 def _run(alg: str, tree, args):
@@ -271,7 +271,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
     sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
     sp.add_argument("--limit", type=_parse_count, default=None,
-                    help="exact-solver node cap (default: exact.DEFAULT_LIMIT)")
+                    help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve, usage_error=sp.error)
 
@@ -304,7 +304,7 @@ def _build_parser() -> _Parser:
     bp.add_argument("suite")
     bp.add_argument("--eps", type=_parse_eps, default="1/2")
     bp.add_argument("--limit", type=_parse_count, default=None,
-                    help="exact-solver node cap (default: exact.DEFAULT_LIMIT)")
+                    help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
     bp.add_argument("--json", default=None,
                     help="also write a structured report; a cost longer than "
                          "sys.int_info.str_digits_check_threshold digits is written as a decimal string")

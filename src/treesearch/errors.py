@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the exact solvers' default node cap."""
+
+# The exact solvers refuse larger trees unless given another limit. It is
+# defined here, in a module every CLI child runs, so that ``solve --alg
+# auto`` reads it without running ``exact``; ``exact`` re-exports it.
+DEFAULT_LIMIT = 20
 
 
 class TreeSearchError(Exception):

@@ -39,11 +39,10 @@ from itertools import compress
 from typing import Iterator
 
 from .bounds import huffman
-from .errors import ResourceLimitError
+from .errors import DEFAULT_LIMIT, ResourceLimitError
 from .greedy import greedy
 from .model import DecisionNode, InputTree, Leaf, Query, cost as dt_cost
 
-DEFAULT_LIMIT = 20
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 

@@ -5,8 +5,10 @@ line per node with ``parent_id = -1`` for the root; children order is the
 order child lines appear. Decision trees are JSON with records
 ``{"query": v, "no": ..., "yes": ...}`` and ``{"leaf": v}``, written on a
 single line; both the writer and the reader walk the records with an
-explicit stack, so strategies of any height round-trip, and indented files
-of the same records parse too. X3C files:
+explicit stack, so strategies of any height round-trip. The reader takes
+records in the writer's key order as record-sized tokens of one regular
+expression, and reads other key orders, indented files and escaped keys a
+single JSON token at a time in the same loop. X3C files:
 first line ``n m``, then m lines of three 0-based element indices.
 
 Weights and costs can be far longer than the 4300 decimal digits to which
@@ -146,19 +148,64 @@ def format_decision_tree(root: DecisionNode) -> str:
     return "".join(out) + "\n"
 
 
-# One JSON token after optional whitespace: punctuation, a string, an integer
-# literal, or any other character (always an error where it appears).
-_TOKEN = re.compile(
-    r'[ \t\n\r]*(?:([{}:,])|("(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*")'
-    r"|(-?(?:0|[1-9][0-9]*))|([^ \t\n\r]))"
+# One token and the whitespace after it. The first three alternatives are
+# record-sized, in the writer's key order: a whole leaf record, a query
+# record up to its NO value, and the YES key between a query's two values.
+# Each spans exactly the single tokens the later alternatives would give, so
+# records in any other key order or with escaped keys are read a single
+# token at a time: punctuation, a key, an integer literal, or any other
+# character (always an error where it appears). The pattern stays a string,
+# compiled on first use through re's cache: compiling it takes about a
+# millisecond, and of the CLI's subcommands only eval reads strategies.
+_WS = r"[ \t\n\r]*"
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_TOKEN = (
+    rf'(?:\{{{_WS}"leaf"{_WS}:{_WS}(?P<leaf>{_INT}){_WS}\}}'
+    rf'|\{{{_WS}"query"{_WS}:{_WS}(?P<query>{_INT}){_WS},{_WS}"no"{_WS}:'
+    rf'|(?P<yes>,{_WS}"yes"{_WS}:)'
+    r'|(?P<open>\{)|(?P<close>\})|(?P<colon>:)|(?P<comma>,)'
+    r'|(?P<key>"(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*")'
+    rf"|(?P<int>{_INT})|(?P<other>[^ \t\n\r])){_WS}"
 )
 
 
+# The kinds of token that may come next at each point of a record.
+_WANT_RECORD = ("leaf", "query", "open")
+_WANT_KEY = ("key",)
+_WANT_COLON = ("colon",)
+_WANT_ID = ("int",)
+_WANT_AFTER_VALUE = ("comma", "close", "yes")
+# What an error says was expected, for each kind of single token.
+_EXPECTED = {"open": "'{'", "close": "'}'", "colon": "':'", "comma": "','", "key": "a key",
+             "int": "an integer node id"}
+_QUERY_KEYS = frozenset(("query", "no", "yes"))  # built once: every query record is checked
+
+
+def _unexpected(where: str, want: tuple[str, ...]) -> InvalidDecisionTreeError:
+    what = " or ".join(_EXPECTED[kind] for kind in want if kind in _EXPECTED)
+    return InvalidDecisionTreeError([f"bad JSON at {where}: expected {what}"])
+
+
+def _key(quoted: str) -> str:
+    if "\\" in quoted:  # an escaped key: rare, so json is imported only here
+        import json
+
+        return json.loads(quoted)
+    return quoted[1:-1]
+
+
+def _node_id(key: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() accepts
+        raise InvalidDecisionTreeError([f"{key} id is too long"]) from None
+
+
 def _record(fields: dict) -> DecisionNode:
+    if fields.keys() == _QUERY_KEYS:
+        return Query(fields["query"], fields["no"], fields["yes"])
     if fields.keys() == {"leaf"}:
         return Leaf(fields["leaf"])
-    if fields.keys() == {"query", "no", "yes"}:
-        return Query(fields["query"], fields["no"], fields["yes"])
     raise InvalidDecisionTreeError([f"bad record keys {sorted(fields)}"])
 
 
@@ -166,51 +213,52 @@ def parse_decision_tree(text: str) -> DecisionNode:
     """Read a strategy written by ``format_decision_tree``, or any JSON of
     the same records in any key order and whitespace (indented files
     included), with an explicit stack instead of recursion. Node ids must
-    be integer literals."""
-    tokens = _TOKEN.finditer(text)
-
-    def take(group: int, punct: str = "") -> str:
-        """The next token, which must match ``group`` (1 punctuation, 2 a
-        string, 3 an integer) and, for punctuation, be one of ``punct``."""
-        m = next(tokens, None)
-        if m is None or m[group] is None or (punct and m[group] not in punct):
-            where = "the end" if m is None else f"offset {m.start(m.lastindex)}"
-            what = {2: "a key", 3: "an integer node id"}.get(group) or " or ".join(map(repr, punct))
-            raise InvalidDecisionTreeError([f"bad JSON at {where}: expected {what}"])
-        return m[group]
-
-    take(1, "{")
-    open_records: list[tuple[dict, str]] = []  # enclosing records, each with its key awaiting a value
-    fields: dict = {}
-    while True:
-        key = take(2)
-        if "\\" in key:  # an escaped key: rare, so json is imported only here
-            import json
-
-            key = json.loads(key)
-        else:
-            key = key[1:-1]
-        if key not in ("leaf", "query", "no", "yes") or key in fields:
-            raise InvalidDecisionTreeError([f"bad record keys {sorted(fields) + [key]}"])
-        take(1, ":")
-        if key in ("no", "yes"):
-            take(1, "{")
-            open_records.append((fields, key))
-            fields = {}
-            continue
-        try:
-            fields[key] = int(take(3))
-        except ValueError:  # more digits than int() accepts
-            raise InvalidDecisionTreeError([f"{key} id is too long"]) from None
-        # After a value: ',' starts the next key; each '}' closes a record.
-        while take(1, ",}") == "}":
-            node = _record(fields)
-            if not open_records:
+    be integer literals. Each loop turn reads one token: records in the
+    writer's key order come as record-sized tokens (a query takes three
+    turns, a leaf one), and anything else as single JSON tokens."""
+    tokens = re.finditer(_TOKEN, text)
+    open_records: list[tuple[dict, str]] = []  # enclosing records, each with its key awaiting a record
+    fields: dict = {}  # the record whose keys are being read
+    key = ""
+    want = _WANT_RECORD  # the kinds of token that may come next
+    for m in tokens:
+        kind = m.lastgroup
+        if kind not in want:
+            raise _unexpected(f"offset {m.start()}", want)
+        if kind == "query":  # '{"query": v, "no":', so a record comes next
+            open_records.append(({"query": _node_id("query", m["query"])}, "no"))
+        elif kind == "leaf" or kind == "close":  # a record is complete
+            node = Leaf(_node_id("leaf", m["leaf"])) if kind == "leaf" else _record(fields)
+            if not open_records:  # it is the strategy
                 if next(tokens, None) is not None:
                     raise InvalidDecisionTreeError(["extra data after the strategy"])
                 return node
             fields, key = open_records.pop()
             fields[key] = node
+            want = _WANT_AFTER_VALUE
+        elif kind == "yes" or kind == "key":  # ', "yes":' comes with its colon
+            key = "yes" if kind == "yes" else _key(m["key"])
+            if key not in ("leaf", "query", "no", "yes") or key in fields:
+                raise InvalidDecisionTreeError([f"bad record keys {sorted(fields) + [key]}"])
+            if kind == "yes":
+                open_records.append((fields, key))
+                want = _WANT_RECORD
+            else:
+                want = _WANT_COLON
+        elif kind == "colon":
+            if key == "no" or key == "yes":
+                open_records.append((fields, key))
+                want = _WANT_RECORD
+            else:
+                want = _WANT_ID
+        elif kind == "int":
+            fields[key] = _node_id(key, m["int"])
+            want = _WANT_AFTER_VALUE
+        else:  # '{' or ','
+            if kind == "open":
+                fields = {}
+            want = _WANT_KEY
+    raise _unexpected("the end", want)
 
 
 def parse_x3c(text: str) -> tuple[int, list[tuple[int, int, int]]]:

@@ -477,15 +477,20 @@ sys.exit(code)
     ("eval", set(), {"bounded_dp", "diameter", "exact", "reduction"}),
     ("solve-exact", {"exact"}, {"bounded_dp", "reduction"}),
     ("verify-lemma2", {"reduction"}, {"bounded_dp"}),
-], ids=["eval", "solve-exact", "verify-lemma2"])
+    ("solve-auto-greedy", {"diameter"}, {"bounded_dp", "bounds", "exact", "reduction"}),
+], ids=["eval", "solve-exact", "verify-lemma2", "solve-auto-greedy"])
 def test_subcommands_run_only_the_modules_they_use(capsys, tmp_path, command, ran, not_ran):
     inst, strategy, x3c = tmp_path / "p5.txt", tmp_path / "s.json", tmp_path / "m1.x3c"
+    path25 = tmp_path / "p25.txt"  # past the default --limit, so auto routes it to greedy
     inst.write_text(PATH5)
     x3c.write_text("3 1\n0 1 2\n")
+    path25.write_text(format_instance(path_tree(25, seeded_weights(25, 1, 9))))
     assert run(capsys, "solve", str(inst), "--alg", "greedy", "--out", str(strategy))[0] == 0
     argv = {"eval": ["eval", str(inst), str(strategy)],
             "solve-exact": ["solve", str(inst), "--alg", "exact", "--out", str(tmp_path / "e.json")],
-            "verify-lemma2": ["verify-lemma2", "--x3c", str(x3c)]}[command]
+            "verify-lemma2": ["verify-lemma2", "--x3c", str(x3c)],
+            "solve-auto-greedy": ["solve", str(path25), "--alg", "auto",
+                                  "--out", str(tmp_path / "g.json")]}[command]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", _RAN, *argv], env=env, capture_output=True, text=True,
                           timeout=60)

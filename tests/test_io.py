@@ -132,6 +132,66 @@ def test_decision_tree_escaped_keys():
         parse_decision_tree('{"le\\naf": 1}')
 
 
+def _reference_record(pairs):
+    """``object_pairs_hook`` for ``json.loads``: a strategy record, whose keys
+    are exactly ``{leaf}`` or ``{query, no, yes}``, none twice, with ids of
+    type int (not bool or float) and records as values of no and yes."""
+    fields = dict(pairs)
+    if len(fields) == len(pairs) == 1 and type(fields.get("leaf")) is int:
+        return Leaf(fields["leaf"])
+    if (len(fields) == len(pairs) and fields.keys() == {"query", "no", "yes"} and type(fields["query"]) is int
+            and all(isinstance(fields[key], (Leaf, Query)) for key in ("no", "yes"))):
+        return Query(fields["query"], fields["no"], fields["yes"])
+    raise ValueError(f"not a strategy record: {pairs}")
+
+
+def _reference_parse(text):
+    """The strategy that ``json.loads`` reads from ``text``, or None."""
+    try:
+        strategy = json.loads(text, object_pairs_hook=_reference_record)
+    except ValueError:
+        return None
+    return strategy if isinstance(strategy, (Leaf, Query)) else None
+
+
+def test_decision_tree_reader_matches_json_reference():
+    """On writer output, indented and key-sorted dumps, and up to three
+    edits of each, the reader accepts exactly the texts that the json
+    reference reads, raises InvalidDecisionTreeError on the others, and
+    reads the same tree. Edits insert, delete or replace JSON punctuation,
+    digits, whitespace or a key, write one character as a \\u escape
+    (inside a key, the same key), or repeat a stretch of the text."""
+    rng = random.Random(28)
+    pieces = [*'{}:,"-0123456789', " ", "\t", "\n", "\r", '"leaf"', '"query"', '"no"', '"yes"']
+    accepted = 0
+    for case in range(4000):
+        strategy = greedy(random_tree(rng.randint(1, 12), rng.randrange(10**6), (0, 9)))
+        text = (format_decision_tree(strategy), json.dumps(_records(strategy), indent=rng.choice([1, "\t"])),
+                json.dumps(_records(strategy), indent=rng.choice([None, 2]), sort_keys=True))[case % 3]
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(text))
+            edit = rng.randrange(5)
+            if edit == 0:
+                text = text[:i] + rng.choice(pieces) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[i + 1:]
+            elif edit == 2:
+                text = text[:i] + rng.choice(pieces) + text[i + 1:]
+            elif edit == 3:
+                text = text[:i] + f"\\u{ord(text[i]):04x}" + text[i + 1:]
+            else:  # repeat a stretch that starts and ends at punctuation: a key or a record twice
+                i, j = sorted(rng.choices([k for k, c in enumerate(text) if c in ",{}"] or [i], k=2))
+                text = text[:j] + text[i:j] + text[j:]
+        expected = _reference_parse(text)
+        try:
+            got = parse_decision_tree(text)
+        except InvalidDecisionTreeError:
+            got = None
+        assert got == expected, text
+        accepted += got is not None
+    assert 1000 < accepted < 3000, accepted  # both outcomes are well represented
+
+
 @pytest.mark.parametrize("text", [
     "", "{", "{}", "[]", '"leaf"', '{"leaf": 1} {"leaf": 1}', '{"leaf": 1,}', '{"leaf" 1}',
     '{"leaf": true}', '{"leaf": null}', '{"leaf": 1.0}', '{"leaf": 1e2}', '{"leaf": 01}',
