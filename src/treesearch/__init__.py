@@ -38,6 +38,7 @@ exact = _lazy("exact")
 reduction = _lazy("reduction")
 
 from .errors import (
+    DEFAULT_LIMIT as _DEFAULT_LIMIT,
     InfeasibleError,
     InvalidDecisionTreeError,
     InvalidInstanceError,
@@ -104,6 +105,38 @@ _LAZY_EXPORTS = {
         "x3c_brute",
     ),
 }
+
+
+def solve(tree, alg="auto", *, eps=None, height=None, limit=_DEFAULT_LIMIT):
+    """``(cost, strategy, alg)`` from the solver ``alg`` names: ``exact``
+    (up to ``limit`` nodes), ``greedy``, ``dp`` (EST height budget
+    ``height``, else its own), ``fptas`` (needs ``eps``) or ``diam3``.
+    ``auto`` splits where the paper does: ``diam3`` up to diameter 3, else
+    ``exact`` up to ``limit`` nodes, else ``greedy`` (never the DP: past
+    ``limit`` its budget is over its height cap, zero-weight paths aside).
+    The returned ``alg`` names the solver that ran."""
+    if alg == "auto":
+        if diameter.tree_diameter(tree) <= 3:
+            alg = "diam3"
+        else:
+            alg = "exact" if tree.n <= limit else "greedy"
+    if alg == "exact":
+        return (*exact.opt_cost(tree, limit=limit), alg)
+    if alg == "greedy":
+        strategy = greedy(tree)
+        return cost(strategy, tree, check=False), strategy, alg
+    if alg == "dp":
+        return (*bounded_dp.optimal_bounded(tree, budget=height), alg)
+    if alg == "diam3":
+        return (*diameter.solve_diam3(tree), alg)
+    if alg != "fptas":
+        raise ValueError(f"unknown algorithm {alg!r}")
+    if eps is None:
+        raise ValueError("fptas requires eps")
+    strategy, c = fptas(tree, eps)
+    return c, strategy, alg
+
+
 _HOME = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_HOME))

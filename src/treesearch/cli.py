@@ -1,5 +1,5 @@
-"""Command-line surface: instance I/O, solver dispatch, evaluation,
-reduction generation, and benchmarking.
+"""Command-line surface: instance I/O, solving (through the library's
+``solve``), evaluation, reduction generation, and benchmarking.
 
 Exit codes: 0 ok, 1 usage, 2 validation/parse failure, 3 resource cap.
 Payload output (trees, instances) goes to --out when given, else stdout;
@@ -14,9 +14,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import bounded_dp, diameter, exact, io as tio, reduction
-from .fptas import fptas
-from .greedy import greedy
+from . import io as tio, reduction, solve
 from .errors import (
     DEFAULT_LIMIT,
     InfeasibleError,
@@ -40,10 +38,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInstanceError(f"cannot read {path}: {e}") from None
 
 
@@ -97,44 +95,12 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _limit(args) -> int:
-    """--limit, else the exact solvers' default."""
-    return DEFAULT_LIMIT if args.limit is None else args.limit
-
-
-def _run(alg: str, tree, args):
-    """(cost, strategy) of one named algorithm under the solve options."""
-    if alg == "exact":
-        return exact.opt_cost(tree, limit=_limit(args))
-    if alg == "greedy":
-        strategy = greedy(tree)
-        return cost(strategy, tree, check=False), strategy
-    if alg == "dp":
-        return bounded_dp.optimal_bounded(tree, budget=args.height)
-    if alg == "fptas":
-        strategy, c = fptas(tree, args.eps)
-        return c, strategy
-    if alg == "diam3":
-        return diameter.solve_diam3(tree)
-    raise InvalidInstanceError(f"unknown algorithm {alg}")  # pragma: no cover - argparse checks
-
-
 def cmd_solve(args) -> int:
     if args.alg == "fptas" and args.eps is None:
         args.usage_error("--alg fptas requires --eps")
     tree = tio.parse_instance(_read(args.input))
     t0 = time.perf_counter()
-    alg = args.alg
-    if alg == "auto":
-        # No DP: past --limit its budget is over the DP's fixed height cap
-        # of 12 except on zero-weight paths, where every strategy costs 0.
-        if diameter.tree_diameter(tree) <= 3:
-            alg = "diam3"
-        elif tree.n <= _limit(args):
-            alg = "exact"
-        else:
-            alg = "greedy"
-    c, strategy = _run(alg, tree, args)
+    c, strategy, alg = solve(tree, args.alg, eps=args.eps, height=args.height, limit=args.limit)
     elapsed = time.perf_counter() - t0
     _emit(tio.format_decision_tree(strategy), args.out)
     print(f"alg {alg}")
@@ -232,12 +198,12 @@ def cmd_bench(args) -> int:
     for path in files:
         row = {"instance": path.name}
         try:
-            tree = tio.parse_instance(path.read_text())
+            tree = tio.parse_instance(_read(path))
             row["n"] = tree.n
             for alg in _BENCH_ALGS:
                 t0 = time.perf_counter()
                 try:
-                    row[alg], _ = _run(alg, tree, args)
+                    row[alg], _, _ = solve(tree, alg, eps=args.eps, limit=args.limit)
                 except ResourceLimitError:
                     row[alg] = None
                     continue
@@ -249,8 +215,7 @@ def cmd_bench(args) -> int:
             failed = True
         rows.append(row)
     cols = ["instance", "n", "exact", "greedy", "greedy_ratio", "dp", "fptas", "fptas_ratio", "error"]
-    header = "  ".join(f"{c:>12}" for c in cols)
-    print(header)
+    print("  ".join(f"{c:>12}" for c in cols))
     for row in rows:
         print("  ".join(f"{_cell(row.get(c, '')):>12}" for c in cols))
     if args.json:
@@ -270,7 +235,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
     sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
     sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
-    sp.add_argument("--limit", type=_parse_count, default=None,
+    sp.add_argument("--limit", type=_parse_count, default=DEFAULT_LIMIT,
                     help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve, usage_error=sp.error)
@@ -303,12 +268,12 @@ def _build_parser() -> _Parser:
     bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
     bp.add_argument("suite")
     bp.add_argument("--eps", type=_parse_eps, default="1/2")
-    bp.add_argument("--limit", type=_parse_count, default=None,
+    bp.add_argument("--limit", type=_parse_count, default=DEFAULT_LIMIT,
                     help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
     bp.add_argument("--json", default=None,
                     help="also write a structured report; a cost longer than "
                          "sys.int_info.str_digits_check_threshold digits is written as a decimal string")
-    bp.set_defaults(func=cmd_bench, height=None)  # _run's dp then picks its own budget
+    bp.set_defaults(func=cmd_bench)
     return p
 
 

@@ -149,20 +149,20 @@ def format_decision_tree(root: DecisionNode) -> str:
 
 
 # One token and the whitespace after it. The first three alternatives are
-# record-sized, in the writer's key order: a whole leaf record, a query
-# record up to its NO value, and the YES key between a query's two values.
-# Each spans exactly the single tokens the later alternatives would give, so
-# records in any other key order or with escaped keys are read a single
-# token at a time: punctuation, a key, an integer literal, or any other
-# character (always an error where it appears). The pattern stays a string,
-# compiled on first use through re's cache: compiling it takes about a
-# millisecond, and of the CLI's subcommands only eval reads strategies.
+# record-sized, in the writer's key order and exact spacing: a whole leaf
+# record, a query record up to its NO value, and the YES key between a
+# query's two values. Each spans exactly the single tokens the later
+# alternatives would give, so records in any other key order, spacing or
+# with escaped keys are read a single token at a time: punctuation, a key,
+# an integer literal, or any other character (always an error where it
+# appears). The pattern stays a string, compiled on first use through re's
+# cache: of the CLI's subcommands only eval reads strategies.
 _WS = r"[ \t\n\r]*"
 _INT = r"-?(?:0|[1-9][0-9]*)"
 _TOKEN = (
-    rf'(?:\{{{_WS}"leaf"{_WS}:{_WS}(?P<leaf>{_INT}){_WS}\}}'
-    rf'|\{{{_WS}"query"{_WS}:{_WS}(?P<query>{_INT}){_WS},{_WS}"no"{_WS}:'
-    rf'|(?P<yes>,{_WS}"yes"{_WS}:)'
+    rf'(?:\{{"leaf": (?P<leaf>{_INT})\}}'
+    rf'|\{{"query": (?P<query>{_INT}), "no":'
+    r'|(?P<yes>, "yes":)'
     r'|(?P<open>\{)|(?P<close>\})|(?P<colon>:)|(?P<comma>,)'
     r'|(?P<key>"(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*")'
     rf"|(?P<int>{_INT})|(?P<other>[^ \t\n\r])){_WS}"
@@ -213,8 +213,8 @@ def parse_decision_tree(text: str) -> DecisionNode:
     """Read a strategy written by ``format_decision_tree``, or any JSON of
     the same records in any key order and whitespace (indented files
     included), with an explicit stack instead of recursion. Node ids must
-    be integer literals. Each loop turn reads one token: records in the
-    writer's key order come as record-sized tokens (a query takes three
+    be integer literals. Each loop turn reads one token: records as the
+    writer spells them come as record-sized tokens (a query takes three
     turns, a leaf one), and anything else as single JSON tokens."""
     tokens = re.finditer(_TOKEN, text)
     open_records: list[tuple[dict, str]] = []  # enclosing records, each with its key awaiting a record

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InvalidInstanceError, ResourceLimitError, TreeSearchError
-from .exact import DEFAULT_LIMIT, opt_cost
+from . import exact  # a lazy module: it runs only for decide_cover's small-tree cross-check
+from .errors import DEFAULT_LIMIT, InvalidInstanceError, ResourceLimitError, TreeSearchError
 from .model import DecisionNode, InputTree, Leaf, Query, _FrozenRecord, _Record, _set, cost, query_depths
 
 
@@ -544,7 +544,7 @@ def decide_cover(red: ReductionOutput) -> bool:
             f"realization fold minimum {best} disagrees with its tree's cost {winner}"
         )
     if tree.n <= DEFAULT_LIMIT:
-        oracle_best, _ = opt_cost(tree)
+        oracle_best, _ = exact.opt_cost(tree)
         if oracle_best != best:
             raise TreeSearchError(
                 f"realization minimum {best} disagrees with the oracle {oracle_best}"

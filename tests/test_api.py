@@ -6,6 +6,7 @@ import types
 
 import treesearch
 
+OWN = ("solve",)  # defined in the package itself
 SUBMODULES = ("bounded_dp", "bounds", "diameter", "errors", "exact", "io", "model", "reduction")
 EXPORTS = {
     "bounded_dp": (
@@ -39,8 +40,8 @@ EXPORTS = {
 
 
 def test_public_names_pinned():
-    names = [name for names in EXPORTS.values() for name in names] + list(SUBMODULES)
-    assert len(names) == 66
+    names = [name for names in EXPORTS.values() for name in names] + list(SUBMODULES) + list(OWN)
+    assert len(names) == 67
     assert sorted(treesearch.__all__) == sorted(names)
     assert set(treesearch.__all__) <= set(dir(treesearch))
     for module, names in EXPORTS.items():
@@ -49,6 +50,8 @@ def test_public_names_pinned():
             assert getattr(treesearch, name) is getattr(home, name), name
     for name in SUBMODULES:
         assert getattr(treesearch, name) is sys.modules[f"treesearch.{name}"], name
+    for name in OWN:
+        assert getattr(treesearch, name).__module__ == "treesearch", name
 
 
 def test_greedy_and_fptas_are_the_functions():

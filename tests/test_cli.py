@@ -93,6 +93,11 @@ class TestSolve:
             assert printed == "cost 32"
         if text == ZERO_PATH21:
             assert printed == "cost 0"
+        # The library's solve routes as the CLI does, to the same strategy.
+        options = {"limit": int(extra[1])} if extra else {}
+        c, strategy, ran = treesearch.solve(parse_instance(text), **options)
+        assert (ran, f"cost {format_int(c)}") == (alg, printed)
+        assert out.read_text() == treesearch.format_decision_tree(strategy)
 
     def test_malformed_parent_id(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -383,6 +388,27 @@ class TestUnwritableOutput:
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "eval", "bench", "reduce", "verify-lemma2"])
+def test_non_utf8_input_exits_2_without_traceback(tmp_path, path3_file, command):
+    bad = tmp_path / "suite" / "bad.txt"
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff\xfe3 0\n")
+    (tmp_path / "suite" / "p3.txt").write_text(PATH3)
+    argv = {"solve": ["solve", str(bad)],
+            "eval": ["eval", path3_file, str(bad)],
+            "bench": ["bench", str(bad.parent)],
+            "reduce": ["reduce", "--x3c", str(bad)],
+            "verify-lemma2": ["verify-lemma2", "--x3c", str(bad)]}[command]
+    done = _cli(*argv)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    if command == "bench":  # the bad file is its row's error; the other rows still print
+        rows = {line.split()[0]: line for line in done.stdout.splitlines()[1:]}
+        assert "cannot read" in rows["bad.txt"] and "skipped" not in rows["p3.txt"]
+    else:
+        assert f"error: cannot read {bad}" in done.stderr.splitlines()[-1]
+
+
 class TestBench:
     def test_table_and_report(self, capsys, tmp_path):
         suite = tmp_path / "suite"
@@ -478,19 +504,25 @@ sys.exit(code)
     ("solve-exact", {"exact"}, {"bounded_dp", "reduction"}),
     ("verify-lemma2", {"reduction"}, {"bounded_dp"}),
     ("solve-auto-greedy", {"diameter"}, {"bounded_dp", "bounds", "exact", "reduction"}),
-], ids=["eval", "solve-exact", "verify-lemma2", "solve-auto-greedy"])
+    ("reduce", {"reduction"}, {"bounded_dp", "bounds", "exact"}),
+    ("verify-lemma2-m3", {"reduction"}, {"bounds", "exact"}),
+], ids=["eval", "solve-exact", "verify-lemma2", "solve-auto-greedy", "reduce", "verify-lemma2-m3"])
 def test_subcommands_run_only_the_modules_they_use(capsys, tmp_path, command, ran, not_ran):
     inst, strategy, x3c = tmp_path / "p5.txt", tmp_path / "s.json", tmp_path / "m1.x3c"
     path25 = tmp_path / "p25.txt"  # past the default --limit, so auto routes it to greedy
     inst.write_text(PATH5)
     x3c.write_text("3 1\n0 1 2\n")
+    x3c_m3 = tmp_path / "m3.x3c"  # its diam4 tree has 28 nodes, past the oracle's cross-check
+    x3c_m3.write_text("9 3\n0 1 2\n3 4 5\n6 7 8\n")
     path25.write_text(format_instance(path_tree(25, seeded_weights(25, 1, 9))))
     assert run(capsys, "solve", str(inst), "--alg", "greedy", "--out", str(strategy))[0] == 0
     argv = {"eval": ["eval", str(inst), str(strategy)],
             "solve-exact": ["solve", str(inst), "--alg", "exact", "--out", str(tmp_path / "e.json")],
             "verify-lemma2": ["verify-lemma2", "--x3c", str(x3c)],
             "solve-auto-greedy": ["solve", str(path25), "--alg", "auto",
-                                  "--out", str(tmp_path / "g.json")]}[command]
+                                  "--out", str(tmp_path / "g.json")],
+            "reduce": ["reduce", "--x3c", str(x3c), "--out", str(tmp_path / "r.txt")],
+            "verify-lemma2-m3": ["verify-lemma2", "--x3c", str(x3c_m3)]}[command]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", _RAN, *argv], env=env, capture_output=True, text=True,
                           timeout=60)
@@ -527,6 +559,15 @@ def test_recursion_limit_call_sites():
     limit, a global side effect; any new caller of ``setrecursionlimit`` in
     the library fails here."""
     assert _call_sites("setrecursionlimit") == ["bounded_dp._PBSolver.__init__", "exact._Oracle.__init__"]
+
+
+def test_cli_keeps_no_solver_logic():
+    """The CLI calls the library's ``solve``, which alone holds the ``auto``
+    rule and the dispatch over the named solvers."""
+    for name in ("opt_cost", "optimal_bounded", "solve_diam3", "tree_diameter", "greedy", "fptas",
+                 "_run", "_limit"):
+        assert not [site for site in _call_sites(name) if site.split(".")[0] == "cli"], name
+    assert "cli.cmd_solve" in _call_sites("solve") and "cli.cmd_bench" in _call_sites("solve")
 
 
 def test_subtree_mask_call_sites():
