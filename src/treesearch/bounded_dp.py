@@ -19,7 +19,9 @@ and the level t of the root's leaf, solving the child forest on the prefix
 path with i blocked plus t-i fresh cells. t ranges over [i, B]: t = i is the
 degenerate placement with the leaf as the direct right child of its query
 (the child forest then works entirely above the query), which cheaper ESTs
-sometimes require.
+sometimes require. Every case reads only subforests further down the tree,
+so one postorder pass fills each subforest's table over all PLPs of length
+<= B, 2^(B+1) cells, with no recursion.
 
 Exactness: every decision tree has height <= n-1, so an optimal EST of
 height <= n exists and running with B = n (or any B past the instance's
@@ -33,7 +35,6 @@ certifies within the ratio of optimal, which is how the FPTAS stops early.
 
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING, Collection, Optional, Union
 
 from .bounds import tall_huffman
@@ -69,8 +70,8 @@ Assignment = Union[int, _Marker]
 PLP = tuple  # cells, each BLOCKED or UNASSIGNED
 SubforestId = tuple  # ("T", v) or ("F", u, f)
 
-# The DP's time grows about 2.5x per budget level (random n = 21 tree: 0.7 s
-# at budget 10, 4.9 s at 12), so larger budgets are refused.
+# The DP's time grows about 3x per budget level (random n = 21 tree: 0.14 s
+# at budget 10, 1.0-1.3 s at 12), so larger budgets are refused.
 HEIGHT_CAP = 12
 
 
@@ -175,138 +176,129 @@ def _plp_to_bits(plp: PLP) -> tuple[int, int]:
 
 
 class _PBSolver:
-    """Memoized solver for the (subforest, PLP) subproblems at a fixed height
-    budget B. Values are (cost, choice); choices reconstruct the EST."""
+    """The (subforest, PLP) subproblems at a fixed height budget B, filled
+    bottom-up in postorder with no recursion. A PLP of length l whose
+    blocked cells form the mask b has the code 2^l + b. Each subforest keeps
+    two lists indexed by code: the least cost, None where nothing fits, and
+    the choice that reaches it: (cell, leaf level) for a tree with children,
+    the cells given to the last tree for a forest. F(u, 1) shares the table
+    of T(u's first child). Ties keep the first candidate with cells
+    ascending, then leaf levels ascending, then submasks s -> (s - 1) & un."""
 
-    def __init__(self, tree: InputTree, budget: int):
+    def __init__(self, tree: InputTree, budget: int, fid: SubforestId):
         self.tree = tree
         self.B = budget
-        self.memo: dict[tuple, Optional[tuple[int, tuple]]] = {}
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 20 * (tree.n + budget) + 1000))
+        self.trees: list[Optional[tuple[list, list]]] = [None] * tree.n
+        self.forests: list[Optional[list[tuple[list, list]]]] = [None] * tree.n
+        n, pre, size, post = tree.n, tree.pre, tree.size, tree.postorder
+        for top in [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]:
+            end = n - pre[top]
+            for v in post[end - size[top]:end]:
+                self._fill_forests(v, len(tree.children[v]))
+                self._fill_tree(v)
+        if fid[0] == "F":
+            self._fill_forests(fid[1], fid[2])
 
-    def _canon(self, fid: SubforestId) -> SubforestId:
-        if fid[0] == "F" and fid[2] == 1:
-            return ("T", self.tree.children[fid[1]][0])
-        return fid
+    def table(self, fid: SubforestId) -> tuple[list, list]:
+        return self.trees[fid[1]] if fid[0] == "T" else self.forests[fid[1]][fid[2] - 1]
 
-    def solve(self, fid: SubforestId, length: int, blocked: int) -> Optional[tuple[int, tuple]]:
-        fid = self._canon(fid)
-        key = (fid, length, blocked)
-        memo = self.memo
-        if key in memo:
-            return memo[key]
-        un = ~blocked & ((1 << length) - 1)
-        result: Optional[tuple[int, tuple]] = None
-        if un:
-            if fid[0] == "T":
-                v = fid[1]
-                kids = self.tree.children[v]
-                if not kids:
-                    pos = (un & -un).bit_length() - 1
-                    result = ((pos + 1) * self.tree.weight[v], ("base", pos))
+    def _fill_tree(self, v: int) -> None:
+        """T_v on l cells is the better of T_v on the first l - 1 cells and,
+        when cell l - 1 is unassigned, the root query there. A leaf node
+        takes its first unassigned cell at cost (cell + 1) * w(v). Otherwise
+        the query's leaf sits at level t, and F(v, deg) gets the cells
+        before the query's, the query's cell blocked, and t - l fresh cells."""
+        B, w = self.B, self.tree.weight[v]
+        inner = self.forests[v][-1][0] if self.forests[v] else None
+        cost, choice = [None] * (2 << B), [None] * (2 << B)
+        for length in range(1, B + 1):
+            half = 1 << (length - 1)  # the bit of cell l - 1, the query's
+            for prev in range(half, 2 * half):  # the code of the first l - 1 cells
+                if inner is None:
+                    best, at = length * w, None
                 else:
-                    result = self._case_tree(v, len(kids), blocked, un)
-            else:
-                result = self._case_forest(fid[1], fid[2], length, blocked, un)
-        memo[key] = result
-        return result
+                    best = at = None
+                    for t in range(length, B + 1):
+                        if w and best is not None and t * w >= best:
+                            break  # child costs are >= 0; deeper leaf levels only get worse
+                        sub = inner[(1 << t) + prev]  # prev's cells, the query's blocked, fresh ones
+                        if sub is not None and (best is None or sub + t * w < best):
+                            best, at = sub + t * w, (length - 1, t)
+                if best is None or cost[prev] is not None and cost[prev] <= best:
+                    best, at = cost[prev], choice[prev]  # an earlier cell wins ties
+                cost[prev + half], choice[prev + half] = best, at
+                cost[prev + 2 * half], choice[prev + 2 * half] = cost[prev], choice[prev]  # cell l - 1 blocked
+        self.trees[v] = cost, choice
 
-    def _case_tree(self, v: int, deg: int, blocked: int, un: int):
-        B = self.B
-        wv = self.tree.weight[v]
-        best = None
-        choice = None
-        m = un
-        while m:
-            b = m & -m
-            pos = b.bit_length() - 1
-            m ^= b
-            child_blocked = (blocked & (b - 1)) | b
-            for t in range(pos + 1, B + 1):
-                if wv and best is not None and t * wv >= best:
-                    break  # child costs are >= 0; deeper leaf levels only get worse
-                sub = self.solve(("F", v, deg), t, child_blocked)
-                if sub is None:
-                    continue
-                cand = sub[0] + t * wv
-                if best is None or cand < best:
-                    best, choice = cand, ("place", pos, t)
-        return None if best is None else (best, choice)
+    def _fill_forests(self, u: int, f: int) -> None:
+        """F(u, 2..f): the last tree takes the unassigned cells s, the first
+        f - 1 trees the others."""
+        kids = self.tree.children[u]
+        tables = self.forests[u] = [self.trees[kids[0]]] if f else []
+        for last in kids[1:f]:
+            last_cost, rest_cost = self.trees[last][0], tables[-1][0]
+            cost, choice = [None] * (2 << self.B), [None] * (2 << self.B)
+            for length in range(1, self.B + 1):
+                closed = (2 << length) - 1  # all cells blocked; unassigned cells x give the code closed - x
+                for code in range(1 << length, closed):
+                    un = closed - code
+                    best = None
+                    s = (un - 1) & un  # proper nonempty submasks
+                    while s:
+                        a = last_cost[closed - s]
+                        if a is not None:
+                            b = rest_cost[code + s]
+                            if b is not None and (best is None or a + b < best):
+                                best, pick = a + b, s
+                        s = (s - 1) & un
+                    if best is not None:
+                        cost[code], choice[code] = best, pick
+            tables.append((cost, choice))
 
-    def _case_forest(self, u: int, f: int, length: int, blocked: int, un: int):
-        last = self.tree.children[u][f - 1]
-        best = None
-        choice = None
-        s = (un - 1) & un  # proper nonempty submasks: cells given to the last tree
-        while s:
-            a = self.solve(("T", last), length, blocked | (un ^ s))
-            if a is not None:
-                b = self.solve(("F", u, f - 1), length, blocked | s)
-                if b is not None:
-                    cand = a[0] + b[0]
-                    if best is None or cand < best:
-                        best, choice = cand, ("split", s)
-            s = (s - 1) & un
-        return None if best is None else (best, choice)
-
-    # -- EST reconstruction ------------------------------------------------
-
-    def cells(self, fid: SubforestId, length: int, blocked: int) -> list[tuple[Assignment, Optional[ESTNode]]]:
-        """Rebuild the winning EST as its left-path cells (assignment, right subtree)."""
-        fid = self._canon(fid)
-        entry = self.memo[(fid, length, blocked)]
-        assert entry is not None, "reconstructing an infeasible subproblem"
-        _, choice = entry
-        base = [
-            (BLOCKED if blocked >> i & 1 else UNASSIGNED, None) for i in range(length)
-        ]
-        if choice[0] == "base":
-            pos = choice[1]
-            v = fid[1]
-            base[pos] = (v, ESTNode(v))
-            return base
-        if choice[0] == "split":
-            s = choice[1]
+    def est(self, fid: SubforestId, length: int, blocked: int) -> ESTNode:
+        """Rebuild the winning EST from its left path, one cell per node.
+        Each subproblem writes only its own unassigned cells. A placement
+        hands its inner forest the cells before its query's cell, shared,
+        then that cell, blocked, then a fresh chain above the query's leaf."""
+        children = self.tree.children
+        path = _left_path([BLOCKED if blocked >> i & 1 else UNASSIGNED for i in range(length)])
+        todo = [(fid, length, blocked, path)]
+        while todo:
+            fid, length, blocked, cells = todo.pop()
+            if fid[0] == "F" and fid[2] == 1:
+                fid = ("T", children[fid[1]][0])
+            code = (1 << length) + blocked
             un = ~blocked & ((1 << length) - 1)
-            u, f = fid[1], fid[2]
-            last = self.tree.children[u][f - 1]
-            cf = self.cells(("T", last), length, blocked | (un ^ s))
-            co = self.cells(("F", u, f - 1), length, blocked | s)
-            for i in range(length):
-                if s >> i & 1:
-                    base[i] = cf[i]
-                elif un >> i & 1:
-                    base[i] = co[i]
-            return base
-        # ("place", pos, t): root query of T_v at cell pos, its leaf at level t.
-        _, pos, t = choice
-        v = fid[1]
-        child_blocked = (blocked & ((1 << pos) - 1)) | (1 << pos)
-        inner = self.cells(("F", v, len(self.tree.children[v])), t, child_blocked)
-        for i in range(pos):
-            base[i] = inner[i]
-        moved = _chain(inner[pos + 1:])
-        leaf = ESTNode(v)
-        if moved is None:
-            right = leaf
-        else:
-            tail = moved
-            while tail.left is not None:
-                tail = tail.left
-            tail.left = leaf
-            right = moved
-        base[pos] = (v, right)
-        # The outer left path below the root query is pure padding.
-        for i in range(pos + 1, length):
-            base[i] = (BLOCKED, None)
-        return base
+            if fid[0] == "F":
+                u, f = fid[1], fid[2]
+                s = self.forests[u][f - 1][1][code]
+                todo.append((("T", children[u][f - 1]), length, blocked | (un ^ s), cells))
+                todo.append((("F", u, f - 1), length, blocked | s, cells))
+                continue
+            v = fid[1]
+            if not children[v]:
+                pos = (un & -un).bit_length() - 1
+                cells[pos].assignment, cells[pos].right = v, ESTNode(v)
+                continue
+            pos, t = self.trees[v][1][code]
+            above = _left_path([UNASSIGNED] * (t - pos - 1) + [v])
+            cells[pos].assignment, cells[pos].right = v, above[0]
+            for i in range(pos + 1, length):
+                if un >> i & 1:
+                    cells[i].assignment = BLOCKED  # the outer left path below the query is padding
+            bit = 1 << pos
+            inner = cells[:pos] + [None] + above[:-1]  # None: the query's cell, blocked
+            todo.append((("F", v, len(children[v])), t, (blocked & (bit - 1)) | bit, inner))
+        return path[0]
 
 
-def _chain(cells: list[tuple[Assignment, Optional[ESTNode]]]) -> Optional[ESTNode]:
-    node = None
-    for a, right in reversed(cells):
-        node = ESTNode(a, left=node, right=right)
-    return node
+def _left_path(assignments: list[Assignment]) -> list[ESTNode]:
+    """ESTNodes with these assignments, top first, each the left child of
+    the one before it."""
+    nodes = [ESTNode(a) for a in assignments]
+    for upper, lower in zip(nodes, nodes[1:]):
+        upper.left = lower
+    return nodes
 
 
 class PBSolution(_Record):
@@ -330,12 +322,9 @@ def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Opt
         u, f = forest[1], forest[2]
         if not 1 <= f <= len(tree.children[u]):
             raise ValueError(f"bad subforest: node {u} has {len(tree.children[u])} children, f={f}")
-    solver = _PBSolver(tree, budget)
-    entry = solver.solve(forest, length, blocked)
-    if entry is None:
-        return None
-    est = _chain(solver.cells(forest, length, blocked))
-    return PBSolution(entry[0], est)
+    solver = _PBSolver(tree, budget, forest)
+    best = solver.table(forest)[0][(1 << length) + blocked]
+    return None if best is None else PBSolution(best, solver.est(forest, length, blocked))
 
 
 def height_bound(tree: InputTree) -> int:
@@ -423,7 +412,14 @@ def deep_cost_bound(tree: InputTree, height: int) -> int:
 
 
 def _solve_at(tree: InputTree, budget: int) -> Optional[tuple[int, DecisionNode]]:
-    """The DP's search tree at one height budget, or None when none fits."""
+    """The DP's search tree at one height budget, or None when none fits.
+
+    A search tree has n leaves, and node v's leaf lies below one query per
+    child of v, so no search tree is shorter than max(ceil(log2 n),
+    max_children). Converting an EST never makes it taller, so a smaller
+    budget fails before any table is filled."""
+    if budget < max((tree.n - 1).bit_length(), tree.max_children):
+        return None
     solution = solve_pb(tree, ("T", tree.root), (UNASSIGNED,) * budget, budget)
     if solution is None:
         return None
@@ -441,12 +437,14 @@ def optimal_bounded(
     """Optimal search tree via the EST dynamic program, exact by default and
     within ``ratio`` of optimal when a ratio above 1 is accepted.
 
-    An explicit ``budget`` runs the DP once at that height; a too-small
-    budget can make the problem infeasible. By default the budget is
-    top = min(height_bound, n): both are sufficient for exactness and the
-    memo is O(n * 2^B), so the smaller wins. Budgets above ``HEIGHT_CAP``
-    (12, a constant of this module) raise ResourceLimitError before any
-    work (use greedy instead: the FPTAS runs the same budget).
+    An explicit ``budget`` runs the DP once at that height, or at n when it
+    is larger (no search tree is taller than n - 1); a too-small budget can
+    make the problem infeasible. By default the budget is
+    top = min(height_bound, n): both are sufficient for exactness and each
+    subforest's tables hold 2^(B+1) cells, so the smaller wins. Budgets
+    above ``HEIGHT_CAP`` (12, a constant of this module) raise
+    ResourceLimitError before any work (use greedy instead: the FPTAS runs
+    the same budget).
 
     The default then deepens: it runs the DP at B = ceil(log2 n) + 1, ...,
     top - 1 (no search tree is shorter than ceil(log2 n)) and returns the
@@ -477,15 +475,14 @@ def optimal_bounded(
     p, q = ratio.as_integer_ratio()
     if p < q:
         raise ValueError(f"accepted ratio {ratio} is below 1")
-    deepen = range(0)
-    if budget is None:
-        budget = min(height_bound(tree), max(tree.n, 1))
-        deepen = range((tree.n - 1).bit_length() + 1, budget)
+    deepen = budget is None
+    # No search tree is taller than n - 1, so a budget past n runs as n.
+    budget = min(height_bound(tree) if deepen else budget, max(tree.n, 1))
     if budget > HEIGHT_CAP:
         raise ResourceLimitError(
             f"height budget {budget} exceeds the cap {HEIGHT_CAP}; use greedy"
         )
-    for b in deepen:
+    for b in range((tree.n - 1).bit_length() + 1, budget) if deepen else ():
         found = _solve_at(tree, b)
         if found is not None and q * found[0] <= p * deep_cost_bound(tree, b):
             return found

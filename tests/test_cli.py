@@ -138,6 +138,19 @@ class TestSolve:
             assert code == 3
             assert "cap" in err
 
+    def test_height_past_n_runs_as_n(self, capsys, tmp_path):
+        # No strategy is taller than n - 1, so a budget past n, even one
+        # past the DP's cap, solves as the budget n does.
+        inst = tmp_path / "inst.txt"
+        inst.write_text(PATH5)
+        results = []
+        for height in ("99", "5"):
+            out = tmp_path / f"h{height}.json"
+            code, stdout, err = run(capsys, "solve", str(inst), "--alg", "dp", "--height", height, "--out", str(out))
+            assert code == 0, err
+            results.append(([line for line in stdout.splitlines() if not line.startswith("time ")], out.read_text()))
+        assert results[0] == results[1]
+
     def test_usage_error_exit_code(self, capsys, path3_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", path3_file, "--alg", "nonsense"])
@@ -555,10 +568,11 @@ def _call_sites(wanted):
 
 
 def test_recursion_limit_call_sites():
-    """Only the two recursive solvers still raise the interpreter's recursion
-    limit, a global side effect; any new caller of ``setrecursionlimit`` in
-    the library fails here."""
-    assert _call_sites("setrecursionlimit") == ["bounded_dp._PBSolver.__init__", "exact._Oracle.__init__"]
+    """Only the exact oracle, which recurses, still raises the interpreter's
+    recursion limit, a global side effect; the EST DP fills its tables
+    without recursion. Any new caller of ``setrecursionlimit`` in the
+    library fails here."""
+    assert _call_sites("setrecursionlimit") == ["exact._Oracle.__init__"]
 
 
 def test_cli_keeps_no_solver_logic():

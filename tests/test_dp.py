@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -14,6 +15,7 @@ from treesearch import (
     InfeasibleError,
     InputTree,
     Leaf,
+    PBSolution,
     ResourceLimitError,
     cost,
     deep_cost_bound,
@@ -31,9 +33,9 @@ from treesearch import (
 )
 from treesearch import bounded_dp
 from treesearch.bounds import huffman, tall_huffman
-from treesearch.bounded_dp import est_iter, forest_nodes
+from treesearch.bounded_dp import Assignment, SubforestId, _plp_to_bits, est_iter, forest_nodes
 from treesearch.exact import _subtree_masks
-from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, seeded_weights, unit_weights
+from treesearch.gen import all_tree_shapes, one_heavy_weights, path_tree, random_tree, seeded_weights, unit_weights
 from treesearch.model import Diagnostics
 
 from conftest import enumerate_decision_trees
@@ -141,6 +143,152 @@ def _reference_validate_est(root, tree, forest_mask=None):
     return Diagnostics(not violations, violations)
 
 
+class _ReferencePB:
+    """The DP as it was before its tables were filled bottom-up, kept unchanged
+    as the reference that ``solve_pb`` must match. Memoized solver for the (subforest, PLP) subproblems at a fixed height
+    budget B. Values are (cost, choice); choices reconstruct the EST."""
+
+    def __init__(self, tree: InputTree, budget: int):
+        self.tree = tree
+        self.B = budget
+        self.memo: dict[tuple, Optional[tuple[int, tuple]]] = {}
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 20 * (tree.n + budget) + 1000))
+
+    def _canon(self, fid: SubforestId) -> SubforestId:
+        if fid[0] == "F" and fid[2] == 1:
+            return ("T", self.tree.children[fid[1]][0])
+        return fid
+
+    def solve(self, fid: SubforestId, length: int, blocked: int) -> Optional[tuple[int, tuple]]:
+        fid = self._canon(fid)
+        key = (fid, length, blocked)
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        un = ~blocked & ((1 << length) - 1)
+        result: Optional[tuple[int, tuple]] = None
+        if un:
+            if fid[0] == "T":
+                v = fid[1]
+                kids = self.tree.children[v]
+                if not kids:
+                    pos = (un & -un).bit_length() - 1
+                    result = ((pos + 1) * self.tree.weight[v], ("base", pos))
+                else:
+                    result = self._case_tree(v, len(kids), blocked, un)
+            else:
+                result = self._case_forest(fid[1], fid[2], length, blocked, un)
+        memo[key] = result
+        return result
+
+    def _case_tree(self, v: int, deg: int, blocked: int, un: int):
+        B = self.B
+        wv = self.tree.weight[v]
+        best = None
+        choice = None
+        m = un
+        while m:
+            b = m & -m
+            pos = b.bit_length() - 1
+            m ^= b
+            child_blocked = (blocked & (b - 1)) | b
+            for t in range(pos + 1, B + 1):
+                if wv and best is not None and t * wv >= best:
+                    break  # child costs are >= 0; deeper leaf levels only get worse
+                sub = self.solve(("F", v, deg), t, child_blocked)
+                if sub is None:
+                    continue
+                cand = sub[0] + t * wv
+                if best is None or cand < best:
+                    best, choice = cand, ("place", pos, t)
+        return None if best is None else (best, choice)
+
+    def _case_forest(self, u: int, f: int, length: int, blocked: int, un: int):
+        last = self.tree.children[u][f - 1]
+        best = None
+        choice = None
+        s = (un - 1) & un  # proper nonempty submasks: cells given to the last tree
+        while s:
+            a = self.solve(("T", last), length, blocked | (un ^ s))
+            if a is not None:
+                b = self.solve(("F", u, f - 1), length, blocked | s)
+                if b is not None:
+                    cand = a[0] + b[0]
+                    if best is None or cand < best:
+                        best, choice = cand, ("split", s)
+            s = (s - 1) & un
+        return None if best is None else (best, choice)
+
+    # -- EST reconstruction ------------------------------------------------
+
+    def cells(self, fid: SubforestId, length: int, blocked: int) -> list[tuple[Assignment, Optional[ESTNode]]]:
+        """Rebuild the winning EST as its left-path cells (assignment, right subtree)."""
+        fid = self._canon(fid)
+        entry = self.memo[(fid, length, blocked)]
+        assert entry is not None, "reconstructing an infeasible subproblem"
+        _, choice = entry
+        base = [
+            (BLOCKED if blocked >> i & 1 else UNASSIGNED, None) for i in range(length)
+        ]
+        if choice[0] == "base":
+            pos = choice[1]
+            v = fid[1]
+            base[pos] = (v, ESTNode(v))
+            return base
+        if choice[0] == "split":
+            s = choice[1]
+            un = ~blocked & ((1 << length) - 1)
+            u, f = fid[1], fid[2]
+            last = self.tree.children[u][f - 1]
+            cf = self.cells(("T", last), length, blocked | (un ^ s))
+            co = self.cells(("F", u, f - 1), length, blocked | s)
+            for i in range(length):
+                if s >> i & 1:
+                    base[i] = cf[i]
+                elif un >> i & 1:
+                    base[i] = co[i]
+            return base
+        # ("place", pos, t): root query of T_v at cell pos, its leaf at level t.
+        _, pos, t = choice
+        v = fid[1]
+        child_blocked = (blocked & ((1 << pos) - 1)) | (1 << pos)
+        inner = self.cells(("F", v, len(self.tree.children[v])), t, child_blocked)
+        for i in range(pos):
+            base[i] = inner[i]
+        moved = _chain(inner[pos + 1:])
+        leaf = ESTNode(v)
+        if moved is None:
+            right = leaf
+        else:
+            tail = moved
+            while tail.left is not None:
+                tail = tail.left
+            tail.left = leaf
+            right = moved
+        base[pos] = (v, right)
+        # The outer left path below the root query is pure padding.
+        for i in range(pos + 1, length):
+            base[i] = (BLOCKED, None)
+        return base
+
+
+def _chain(cells: list[tuple[Assignment, Optional[ESTNode]]]) -> Optional[ESTNode]:
+    node = None
+    for a, right in reversed(cells):
+        node = ESTNode(a, left=node, right=right)
+    return node
+
+
+def _reference_solve_pb(tree, forest, plp, budget):
+    """``solve_pb`` through ``_ReferencePB``."""
+    length, blocked = _plp_to_bits(plp)
+    solver = _ReferencePB(tree, budget)
+    entry = solver.solve(forest, length, blocked)
+    if entry is None:
+        return None
+    return PBSolution(entry[0], _chain(solver.cells(forest, length, blocked)))
+
+
 def _est_mutants(node, n):
     """ESTs one edit away from ``node``: its assignment set to an id in -1..n,
     a placeholder or a foreign value, its children swapped, or one removed."""
@@ -240,6 +388,73 @@ class TestSubproblems:
                 assert est_height(sol.est) <= budget
                 assert validate_est(sol.est, t).ok
                 assert est_cost(sol.est, t) == sol.cost
+
+
+class TestAgainstReference:
+    def test_every_small_shape_and_budget(self):
+        # Every shape with n <= 7, weights with zeros, at every budget from
+        # ceil(log2 n) to n + 1: the same cost, EST and strategy text.
+        rng = random.Random(26)
+        checked = 0
+        for n in range(1, 8):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(n)])
+                for budget in range((n - 1).bit_length(), n + 2):
+                    plp = (U,) * budget
+                    want = _reference_solve_pb(t, ("T", t.root), plp, budget)
+                    assert repr(solve_pb(t, ("T", t.root), plp, budget)) == repr(want), (parents, t.weight, budget)
+                    found = bounded_dp._solve_at(t, budget)
+                    text = None if want is None else format_decision_tree(est_to_search_tree(want.est, t))
+                    assert (None if found is None else format_decision_tree(found[1])) == text
+                    checked += want is not None
+        assert checked > 300  # 370 feasible (shape, budget) pairs
+
+    def test_budget_below_the_bound_fits_no_tree(self):
+        # No search tree is shorter than max(ceil(log2 n), max_children), so
+        # the reference finds none below that and _solve_at need not run.
+        below = 0
+        for n in range(1, 8):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, seeded_weights(n, n))
+                for budget in range(max((n - 1).bit_length(), t.max_children)):
+                    assert _reference_solve_pb(t, ("T", t.root), (U,) * budget, budget) is None, (parents, budget)
+                    assert bounded_dp._solve_at(t, budget) is None
+                    below += 1
+        assert below > 200
+
+    def test_seeded_subproblems(self):
+        # Subforests T_v and F(u, f), F(u, 1) included, on PLPs with blocked
+        # cells, all-blocked ones included.
+        rng = random.Random(27)
+        seen = set()
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            t = random_tree(n, rng.randrange(10**6), (0, 6))
+            fids = [("T", v) for v in range(n)]
+            fids += [("F", u, f) for u in range(n) for f in range(1, len(t.children[u]) + 1)]
+            fid = rng.choice(fids)
+            budget = rng.randint(1, 8)
+            share = rng.choice([0, 0.3, 0.6, 1])
+            plp = tuple(B if rng.random() < share else U for _ in range(rng.randint(1, budget)))
+            want = _reference_solve_pb(t, fid, plp, budget)
+            assert repr(solve_pb(t, fid, plp, budget)) == repr(want), (t.parent, t.weight, fid, plp, budget)
+            seen.add((fid[0], fid[-1] == 1, U in plp, want is None))
+        assert {("F", True, True, False), ("F", False, True, False), ("T", False, False, True)} <= seen
+
+
+def test_dp_runs_without_recursion():
+    # With the recursion limit 60 frames above this test's depth, the DP
+    # solves a 200-node path and leaves the limit as it was.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert optimal_bounded(path_tree(200), budget=8)[0] == 1544
+        assert sys.getrecursionlimit() == depth + 60
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestValidateEst:
