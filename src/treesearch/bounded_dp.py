@@ -312,7 +312,9 @@ class PBSolution(_Record):
 def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Optional[PBSolution]:
     """Minimum-cost EST for the subforest, compatible with the PLP, height <= budget.
 
-    Returns None when infeasible (no unassigned cell, or nothing fits)."""
+    Returns None when infeasible (no unassigned cell, or nothing fits). Each
+    subforest's tables hold 2^(budget+1) cells, so a budget above
+    ``HEIGHT_CAP`` raises ResourceLimitError before any table is filled."""
     length, blocked = _plp_to_bits(plp)
     if length > budget:
         raise ValueError(f"|P| = {length} exceeds the height budget {budget}")
@@ -322,6 +324,8 @@ def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Opt
         u, f = forest[1], forest[2]
         if not 1 <= f <= len(tree.children[u]):
             raise ValueError(f"bad subforest: node {u} has {len(tree.children[u])} children, f={f}")
+    if budget > HEIGHT_CAP:
+        raise ResourceLimitError(f"height budget {budget} exceeds the cap {HEIGHT_CAP}")
     solver = _PBSolver(tree, budget, forest)
     best = solver.table(forest)[0][(1 << length) + blocked]
     return None if best is None else PBSolution(best, solver.est(forest, length, blocked))

@@ -5,18 +5,20 @@ by node id (the one module that stores node sets so). Its optimal cost
 is w(piece) plus the least sum of the optimal costs of the two sides of one
 of its splits (a query x in the piece other than its topmost node; YES is
 the part inside T_x). The oracle keeps two memos per piece: its exact cost
-once found, and the best lower bound proven so far, which starts at the
-Huffman cost of the piece's weights (``bounds.huffman``; a strategy is a
-full binary tree with one leaf per node). LB(piece) is the exact cost when
-known, else that bound.
+once found, and LB(piece), the best lower bound proven so far, which starts
+at the Huffman cost of the piece's weights (``bounds.huffman``; a strategy
+is a full binary tree with one leaf per node) and becomes the exact cost
+once that is found.
 
 ``_search(piece, ub)`` returns the optimal cost when it is below ``ub``,
 else a lower bound >= ``ub``. It tries the splits in ascending
 LB(yes) + LB(no) and stops once w(piece) plus that sum reaches the best cost
 found so far, since every later split costs at least as much. Each side is
 searched under the bound that would still let the split win. A piece that
-finds nothing under ``ub`` stores ``ub`` as its lower bound. The whole tree
-is searched under greedy's cost + 1, so the first search always succeeds.
+finds nothing under ``ub`` stores ``ub`` as its lower bound. A piece's own
+search runs under w(piece) * (|piece| - 1) + 1, above any strategy's cost.
+The pieces being searched are generators on a list, not frames: a chain of
+shrinking pieces as deep as the strategy takes no recursion.
 
 The pruned search finds costs, not the tie-break. Once a piece's cost c is
 known, the smallest optimal first query is the first split, by ascending
@@ -34,14 +36,12 @@ node limit.
 
 from __future__ import annotations
 
-import sys
 from itertools import compress
-from typing import Iterator
+from typing import Generator, Iterator, Optional
 
 from .bounds import huffman
 from .errors import DEFAULT_LIMIT, ResourceLimitError
-from .greedy import greedy
-from .model import DecisionNode, InputTree, Leaf, Query, cost as dt_cost
+from .model import DecisionNode, InputTree, Leaf, build_decision_tree
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
@@ -82,17 +82,10 @@ class _Oracle:
         self.tree = tree
         self.sub = _subtree_masks(tree)
         self.exact: dict[int, int] = {}  # piece -> optimal cost
-        self.lower: dict[int, int] = {}  # piece -> proven lower bound, Huffman at first
-        self.first: dict[int, int] = {}  # piece -> smallest optimal first query
-        self.heights: dict[int, int] = {}
-        # Each search recurses through a chain of shrinking pieces, n deep at most.
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * tree.n + 1000))
+        self.lower: dict[int, int] = {}  # piece -> LB(piece), Huffman at first
 
     def _lb(self, piece: int) -> int:
-        """LB(piece): its exact cost when known, else its best proven lower bound."""
-        c = self.exact.get(piece)
-        if c is not None:
-            return c
+        """LB(piece): its best proven lower bound, which is its exact cost when known."""
         lb = self.lower.get(piece)
         if lb is None:
             lb = self.lower[piece] = huffman(_piece_weights(self.tree, piece))
@@ -101,98 +94,102 @@ class _Oracle:
     def _search(self, piece: int, ub: int) -> int:
         """The optimal cost of ``piece`` when it is below ``ub``; otherwise
         a lower bound on it that is >= ``ub``."""
-        if piece & (piece - 1) == 0:
-            return 0
-        c = self.exact.get(piece)
-        if c is not None:
-            return c
-        lb = self._lb(piece)
-        if lb >= ub:
-            return lb
+        exact, lb = self.exact, self._lb
+        stack: list[Generator[tuple[int, int], int, int]] = []
+        while True:  # answer single nodes, known costs and bounds >= ub at once
+            if piece & (piece - 1) == 0:
+                value = 0
+            else:
+                value = lb(piece)
+                if value < ub and piece not in exact:
+                    stack.append(self._branch(piece, ub))
+                    value = None
+            while stack:  # send the value up until a search asks for a side
+                try:
+                    piece, ub = stack[-1].send(value)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    value = done.value
+            else:
+                return value
+
+    def _branch(self, piece: int, ub: int) -> Generator[tuple[int, int], int, int]:
+        """``_search`` on a piece that needs its splits: yields each side's
+        (piece, bound), is sent that side's value, and returns the piece's."""
+        lb = self._lb
         total = sum(_piece_weights(self.tree, piece))
-        order = sorted((self._lb(inside) + self._lb(piece ^ inside), inside)
-                       for _, inside in _splits(self.sub, piece))
+        order = sorted((lb(inside) + lb(piece ^ inside), inside) for _, inside in _splits(self.sub, piece))
         best = ub - total  # the two sides must cost less than this together
-        found = False
         for bound, inside in order:
             if bound >= best:
                 break  # this split and every later one cost >= best
             outside = piece ^ inside
-            cap = best - self._lb(outside)
-            a = self._search(inside, cap)
-            if a >= cap:
-                continue
-            b = self._search(outside, best - a)
-            if a + b < best:
-                best = a + b
-                found = True
-        if found:
-            self.exact[piece] = total + best
+            cap = best - lb(outside)
+            a = yield inside, cap
+            if a < cap:
+                b = yield outside, best - a
+                if a + b < best:
+                    best = a + b
+        if best < ub - total:  # some split fits under ub
+            self.exact[piece] = self.lower[piece] = total + best
             return total + best
         self.lower[piece] = ub
         return ub
 
-    def _hits(self, piece: int, inside: int, target: int) -> bool:
-        """Whether the split of ``piece`` into ``inside`` and the rest has
-        optimal sides costing exactly ``target`` together, given that no
-        split costs less."""
-        outside = piece ^ inside
-        cap = target - self._lb(outside)
-        a = self._search(inside, cap + 1)
-        return a <= cap and self._search(outside, target - a + 1) == target - a
-
     def cost(self, piece: int) -> int:
-        """Optimal cost of ``piece``, searched under a known strategy's cost + 1:
-        greedy's on the whole tree, else w(piece) * (|piece| - 1), since no
-        leaf of a strategy is deeper than |piece| - 1."""
-        c = self.exact.get(piece)
-        if c is not None:
-            return c
-        if piece == (1 << self.tree.n) - 1:
-            upper = dt_cost(greedy(self.tree), self.tree, check=False)
-        else:
-            upper = sum(_piece_weights(self.tree, piece)) * (bin(piece).count("1") - 1)
-        return self._search(piece, upper + 1)
+        """Optimal cost of ``piece``, searched under w(piece) * (|piece| - 1) + 1,
+        since no leaf of a strategy is deeper than |piece| - 1."""
+        return self.exact.get(piece) or self._search(
+            piece, sum(_piece_weights(self.tree, piece)) * (bin(piece).count("1") - 1) + 1)
+
+    def argmins(self, piece: int) -> Iterator[int]:
+        """Every optimal first query on ``piece``, by ascending id: each split
+        whose sides' bounded searches hit its optimal cost less w(piece)."""
+        target = self.cost(piece) - sum(_piece_weights(self.tree, piece))
+        for x, inside in _splits(self.sub, piece):
+            outside = piece ^ inside
+            cap = target - self._lb(outside)
+            a = self._search(inside, cap + 1)
+            if a <= cap and self._search(outside, target - a + 1) == target - a:
+                yield x
 
     def solve(self, piece: int) -> tuple[int, int]:
         """(optimal cost, smallest optimal first query) of ``piece``; the
         query is -1 on a single node."""
         if piece & (piece - 1) == 0:
             return 0, -1
-        c = self.cost(piece)
-        x = self.first.get(piece)
-        if x is None:
-            target = c - sum(_piece_weights(self.tree, piece))
-            x = self.first[piece] = next(
-                x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target))
-        return c, x
-
-    def argmins(self, piece: int) -> list[int]:
-        """Every optimal first query on ``piece``, by ascending id."""
-        target = self.cost(piece) - sum(_piece_weights(self.tree, piece))  # both sides' optimal cost
-        return [x for x, inside in _splits(self.sub, piece) if self._hits(piece, inside, target)]
+        return self.cost(piece), next(self.argmins(piece))
 
     def min_height(self, piece: int) -> int:
         """Smallest height among the optimal decision trees of ``piece``.
 
         A tree is optimal exactly when its first query is optimal and both
         subtrees are optimal for their pieces, so only pieces reached through
-        optimal splits are visited.
+        optimal splits are visited, children before parents.
         """
-        h = self.heights.get(piece)
-        if h is None:
-            h = 0 if piece & (piece - 1) == 0 else 1 + min(
-                max(self.min_height(piece & self.sub[x]), self.min_height(piece & ~self.sub[x]))
-                for x in self.argmins(piece))
-            self.heights[piece] = h
-        return h
+        heights: dict[int, int] = {}
+        todo: list[tuple[int, Optional[list[tuple[int, int]]]]] = [(piece, None)]
+        while todo:
+            p, sides = todo.pop()
+            if sides is not None:  # every side's height is known
+                heights[p] = 1 + min(max(heights[yes], heights[no]) for yes, no in sides)
+            elif p & (p - 1) == 0:
+                heights[p] = 0
+            elif p not in heights:
+                sides = [(p & self.sub[x], p & ~self.sub[x]) for x in self.argmins(p)]
+                todo.append((p, sides))
+                todo += ((side, None) for pair in sides for side in pair)
+        return heights[piece]
 
     def build(self, piece: int) -> DecisionNode:
-        _, x = self.solve(piece)
-        if x < 0:
-            return Leaf(piece.bit_length() - 1)
-        inside = piece & self.sub[x]
-        return Query(x, self.build(piece ^ inside), self.build(inside))
+        def expand(piece: int):
+            _, x = self.solve(piece)
+            if x < 0:
+                return Leaf(piece.bit_length() - 1)
+            inside = piece & self.sub[x]
+            return x, piece ^ inside, inside
+        return build_decision_tree(piece, expand)
 
 
 def opt_cost(tree: InputTree, limit: int = DEFAULT_LIMIT) -> tuple[int, DecisionNode]:

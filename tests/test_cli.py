@@ -290,6 +290,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "path", "0")
         assert code == 2
 
+    def test_huge_n_refused_before_allocating(self):
+        # A billion nodes would take hundreds of GB; the child stays inside 1 GiB.
+        done = _cli("gen", "path", "1000000000", address_space=2**30, timeout=20)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr and "above the generator limit" in done.stderr
+
 
 class TestReduce:
     def test_example1_pi_line(self, capsys, tmp_path):
@@ -568,11 +574,17 @@ def _call_sites(wanted):
 
 
 def test_recursion_limit_call_sites():
-    """Only the exact oracle, which recurses, still raises the interpreter's
-    recursion limit, a global side effect; the EST DP fills its tables
-    without recursion. Any new caller of ``setrecursionlimit`` in the
-    library fails here."""
-    assert _call_sites("setrecursionlimit") == ["exact._Oracle.__init__"]
+    """No library call raises the interpreter's recursion limit, a global
+    side effect: the EST DP fills its tables bottom-up and the exact oracle
+    searches on explicit lists. Any new caller of ``setrecursionlimit`` in
+    the library fails here."""
+    assert _call_sites("setrecursionlimit") == []
+
+
+def test_exact_needs_no_greedy_bound():
+    """The oracle searches each piece under w(piece) * (|piece| - 1) + 1, so
+    no scope of ``exact`` names ``greedy``."""
+    assert not [site for site in _call_sites("greedy") if site.split(".")[0] == "exact"]
 
 
 def test_cli_keeps_no_solver_logic():

@@ -323,6 +323,13 @@ class TestBaseCase:
         t = InputTree([-1], [5])
         assert solve_pb(t, ("T", 0), (B, B), 4) is None
 
+    def test_budget_above_cap_refused(self):
+        # Tables of 2^(budget+1) cells: budget 20 would fill 2^21 on one node.
+        t = InputTree([-1], [5])
+        assert solve_pb(t, ("T", 0), (U,), bounded_dp.HEIGHT_CAP).cost == 5
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            solve_pb(t, ("T", 0), (U,), 20)
+
 
     @pytest.mark.parametrize("forest", [("T", -1), ("F", -2, 1), ("T", 3), ("X", 0)])
     def test_bad_subforest_rejected(self, path3, forest):

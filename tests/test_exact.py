@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -238,6 +239,26 @@ def test_dp_budget_lemma():
                         assert best >= min(c, bounded_dp.deep_cost_bound(t, budget)), case
                 checked += 1
     assert checked == 526
+
+
+def test_deep_strategy_under_a_tight_recursion_limit():
+    # Weights 2^i on a path force every optimal strategy to peel the deepest
+    # node first, so its height is n - 1; the oracle keeps that chain of
+    # pieces on lists, not frames, and leaves the interpreter's limit alone.
+    n = 120
+    t = InputTree([-1] + list(range(n - 1)), [2**i for i in range(n)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        c, strategy = opt_cost(t, limit=n)
+        assert opt_cost_min_height(t, limit=n) == (c, n - 1)
+        assert sys.getrecursionlimit() == depth + 60
+    finally:
+        sys.setrecursionlimit(saved)
+    assert tree_height(strategy) == n - 1 and cost(strategy, t) == c
 
 
 def test_min_height_is_achievable_and_optimal():
