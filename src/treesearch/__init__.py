@@ -7,12 +7,14 @@ the bounded-height exact DP and its FPTAS wrapper, polynomial solvers for
 diameter <= 3, and the X3C hardness-instance generator with its checkable
 cost identities.
 
-Importing the package runs only ``errors``, ``model``, ``io``, ``greedy``
-and ``fptas``. The heavier modules ``bounded_dp``, ``bounds``, ``exact``,
-``diameter`` and ``reduction`` are bound as package attributes and sit in
-``sys.modules`` from the start, but each runs only when one of its
-attributes is first read, so a CLI subcommand runs only the modules it
-uses. Their public names are re-exported on first access.
+Importing the package runs only ``errors``, ``model`` and ``io``. The
+solver modules ``bounded_dp``, ``bounds``, ``exact``, ``diameter``,
+``reduction``, ``greedy`` and ``fptas`` sit in ``sys.modules`` from the
+start, but each runs only when one of its attributes is first read, so a
+CLI subcommand runs only the modules it uses. Their public names are
+re-exported on first access. The first five are package attributes; the
+package's ``greedy`` and ``fptas`` are the functions, so those two modules
+are bound under private names.
 """
 
 import importlib.util as _util
@@ -36,6 +38,8 @@ bounds = _lazy("bounds")
 diameter = _lazy("diameter")
 exact = _lazy("exact")
 reduction = _lazy("reduction")
+_fptas = _lazy("fptas")
+_greedy = _lazy("greedy")
 
 from .errors import (
     DEFAULT_LIMIT as _DEFAULT_LIMIT,
@@ -45,8 +49,6 @@ from .errors import (
     ResourceLimitError,
     TreeSearchError,
 )
-from .fptas import fptas, scale_weights
-from .greedy import greedy
 from .io import (
     format_decision_tree,
     format_instance,
@@ -88,6 +90,8 @@ _LAZY_EXPORTS = {
     ),
     "diameter": ("solve_diam3", "solve_star", "tree_diameter"),
     "exact": ("opt_cost", "opt_cost_min_height"),
+    "fptas": ("fptas", "scale_weights"),
+    "greedy": ("greedy",),
     "reduction": (
         "ReductionOutput",
         "X3CInstance",
@@ -123,7 +127,7 @@ def solve(tree, alg="auto", *, eps=None, height=None, limit=_DEFAULT_LIMIT):
     if alg == "exact":
         return (*exact.opt_cost(tree, limit=limit), alg)
     if alg == "greedy":
-        strategy = greedy(tree)
+        strategy = _greedy.greedy(tree)
         return cost(strategy, tree, check=False), strategy, alg
     if alg == "dp":
         return (*bounded_dp.optimal_bounded(tree, budget=height), alg)
@@ -133,7 +137,7 @@ def solve(tree, alg="auto", *, eps=None, height=None, limit=_DEFAULT_LIMIT):
         raise ValueError(f"unknown algorithm {alg!r}")
     if eps is None:
         raise ValueError("fptas requires eps")
-    strategy, c = fptas(tree, eps)
+    strategy, c = _fptas.fptas(tree, eps)
     return c, strategy, alg
 
 
@@ -149,7 +153,7 @@ def __getattr__(name: str):
         module = _HOME[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[module], name)
+    return getattr(_sys.modules[f"{__name__}.{module}"], name)
 
 
 def __dir__():

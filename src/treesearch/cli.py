@@ -8,34 +8,23 @@ human-readable stats always go to stdout.
 
 from __future__ import annotations
 
-import argparse
+import itertools
+import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import io as tio, reduction, solve
-from .errors import (
-    DEFAULT_LIMIT,
-    InfeasibleError,
-    InvalidDecisionTreeError,
-    InvalidInstanceError,
-    ResourceLimitError,
-    TreeSearchError,
-)
+from .errors import (DEFAULT_LIMIT, InfeasibleError, InvalidDecisionTreeError, InvalidInstanceError,
+                     ResourceLimitError, TreeSearchError)
 from .model import cost, tree_height, tree_size, validate
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _read(path: str | Path) -> str:
@@ -69,9 +58,9 @@ def _parse_eps(text: str) -> Fraction:
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad epsilon {text!r}; use p/q or a decimal") from None
+        raise ValueError(f"bad epsilon {text!r}; use p/q or a decimal") from None
     if eps <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
+        raise ValueError("epsilon must be positive")
     return eps
 
 
@@ -79,9 +68,9 @@ def _parse_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected an integer") from None
+        raise ValueError(f"bad value {text!r}; expected an integer") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"bad value {text!r}; must be non-negative")
+        raise ValueError(f"bad value {text!r}; must be non-negative")
     return value
 
 
@@ -89,9 +78,9 @@ def _parse_weight_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split("..", 1))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weight range {text!r}; expected lo..hi") from None
+        raise ValueError(f"bad weight range {text!r}; expected lo..hi") from None
     if not 0 <= lo <= hi:
-        raise argparse.ArgumentTypeError(f"bad weight range {text!r}; need 0 <= lo <= hi")
+        raise ValueError(f"bad weight range {text!r}; need 0 <= lo <= hi")
     return lo, hi
 
 
@@ -143,8 +132,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    n, fam = tio.parse_x3c(_read(args.x3c))
-    inst = reduction.X3CInstance.of(n, fam)
+    inst = reduction.X3CInstance.of(*tio.parse_x3c(_read(args.x3c)))
     red = reduction.build(inst, args.variant)
     _emit(tio.format_instance(red.instance), args.out)
     print("pi " + " ".join(reduction.pi_names(inst)))
@@ -154,8 +142,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify_lemma2(args) -> int:
-    n, fam = tio.parse_x3c(_read(args.x3c))
-    inst = reduction.X3CInstance.of(n, fam)
+    inst = reduction.X3CInstance.of(*tio.parse_x3c(_read(args.x3c)))
     red = reduction.build(inst, args.variant)
     via_tree = reduction.decide_cover(red)
     via_brute = reduction.x3c_brute(inst)
@@ -170,16 +157,13 @@ _BENCH_ALGS = ("exact", "greedy", "dp", "fptas")
 
 def _cell(value) -> str:
     """A bench table cell; ints of any length go through ``format_int``."""
-    if value is None:
-        return "skipped"
-    return tio.format_int(value) if isinstance(value, int) else str(value)
+    return "skipped" if value is None else tio.format_int(value) if isinstance(value, int) else str(value)
 
 
 def _json_cost(value):
-    """A cost as a JSON number, or as its decimal string when it is longer
-    than sys.int_info.str_digits_check_threshold digits: past that length
-    ``json.dumps`` and ``json.loads`` may refuse to convert it, depending on
-    the interpreter's int-string limit."""
+    """A cost as a JSON number, or as its decimal string when it is longer than
+    sys.int_info.str_digits_check_threshold digits: past that length ``json.dumps`` and
+    ``json.loads`` may refuse to convert it, depending on the interpreter's int-string limit."""
     if value is None:
         return None
     text = tio.format_int(value)
@@ -193,8 +177,7 @@ def cmd_bench(args) -> int:
     files = sorted(p for p in suite.iterdir() if p.is_file())
     if not files:
         raise InvalidInstanceError(f"no instances in {args.suite}")
-    rows = []
-    failed = False
+    rows, failed = [], False
     for path in files:
         row = {"instance": path.name}
         try:
@@ -226,62 +209,101 @@ def cmd_bench(args) -> int:
     return EXIT_INVALID if failed else EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="treesearch", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+# Each subcommand's handler, positionals (convert, choices) and options (convert, choices, default,
+# required). A value is converted as it is read, a string default only when its option is absent.
+_STR, _X3C = (str, None, None, False), (str, None, None, True)
+_VARIANT, _LIMIT = (str, ("diam4", "deg16"), "diam4", False), (_parse_count, None, DEFAULT_LIMIT, False)
+_COMMANDS = {
+    "solve": (cmd_solve, {"input": _STR}, {
+        "--alg": (str, ("greedy", "exact", "dp", "fptas", "auto"), "auto", False),
+        "--eps": (_parse_eps, None, None, False), "--height": (_parse_count, None, None, False),
+        "--limit": _LIMIT, "--out": _STR}),
+    "eval": (cmd_eval, {"instance": _STR, "tree": _STR}, {}),
+    "gen": (cmd_gen, {"kind": (str, ("random", "path", "star", "complete-d-ary")), "n": (int, None)}, {
+        "--seed": (int, None, 0, False), "--arity": (int, None, 2, False),
+        "--weights": (_parse_weight_range, None, (1, 10), False), "--out": _STR}),
+    "reduce": (cmd_reduce, {}, {"--variant": _VARIANT, "--x3c": _X3C, "--out": _STR}),
+    "verify-lemma2": (cmd_verify_lemma2, {}, {"--x3c": _X3C, "--variant": _VARIANT}),
+    "bench": (cmd_bench, {"suite": _STR}, {"--eps": (_parse_eps, None, "1/2", False), "--limit": _LIMIT,
+                                           "--json": _STR}),  # --json: see _json_cost
+}
+_TOP = (None, {"command": (str, tuple(_COMMANDS))}, {})  # what the subcommand follows
 
-    sp = sub.add_parser("solve", help="solve an instance")
-    sp.add_argument("input")
-    sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
-    sp.add_argument("--eps", type=_parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
-    sp.add_argument("--height", type=_parse_count, default=None, help="explicit EST height budget for dp")
-    sp.add_argument("--limit", type=_parse_count, default=DEFAULT_LIMIT,
-                    help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_solve, usage_error=sp.error)
 
-    ep = sub.add_parser("eval", help="validate and cost a strategy file")
-    ep.add_argument("instance")
-    ep.add_argument("tree")
-    ep.set_defaults(func=cmd_eval)
+def _exit(command: str | None, error: str | None = None):
+    """Help: the usage lines, exit 0. An error: the usage line and the error on stderr, exit 1."""
+    for name in [command] if command or error else [None, *_COMMANDS]:
+        _, positionals, options = _COMMANDS[name] if name else _TOP
+        words = (f"{o} {o[2:].upper()}" if s[3] else f"[{o} {o[2:].upper()}]" for o, s in options.items())
+        usage = " ".join(filter(None, ["usage: treesearch", name, "[-h]", *words, *positionals]))
+        print(usage, *[f"error: {error}"] * bool(error), sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(EXIT_USAGE if error else EXIT_OK)
 
-    gp = sub.add_parser("gen", help="generate an instance")
-    gp.add_argument("kind", choices=["random", "path", "star", "complete-d-ary"])
-    gp.add_argument("n", type=int)
-    gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--arity", type=int, default=2)
-    gp.add_argument("--weights", type=_parse_weight_range, default=(1, 10), help="lo..hi")
-    gp.add_argument("--out", default=None)
-    gp.set_defaults(func=cmd_gen)
 
-    rp = sub.add_parser("reduce", help="build a tree-search instance from an X3C family")
-    rp.add_argument("--variant", choices=["diam4", "deg16"], default="diam4")
-    rp.add_argument("--x3c", required=True)
-    rp.add_argument("--out", default=None)
-    rp.set_defaults(func=cmd_reduce)
+def _option(token: str, options, command: str | None) -> str | None:
+    """The option ``token`` names, whole, by a unique prefix or as ``name=value``; "" if unknown,
+    None if a value: no leading '-', '-' or '--' alone, a negative number, or a space in it."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name = "--help" if token[:2] == "-h" else token.partition("=")[0]
+    found = [o for o in (*options, "--help") if o.startswith(name)]
+    found = [name] if name in found else found
+    if len(found) > 1:
+        _exit(command, f"ambiguous option: {name} could match {', '.join(found)}")
+    return found[0] if found else None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ""
 
-    vp = sub.add_parser("verify-lemma2", help="compare the reduction decision with brute force")
-    vp.add_argument("--x3c", required=True)
-    vp.add_argument("--variant", choices=["diam4", "deg16"], default="diam4")
-    vp.set_defaults(func=cmd_verify_lemma2)
 
-    bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
-    bp.add_argument("suite")
-    bp.add_argument("--eps", type=_parse_eps, default="1/2")
-    bp.add_argument("--limit", type=_parse_count, default=DEFAULT_LIMIT,
-                    help=f"exact-solver node cap (default: {DEFAULT_LIMIT})")
-    bp.add_argument("--json", default=None,
-                    help="also write a structured report; a cost longer than "
-                         "sys.int_info.str_digits_check_threshold digits is written as a decimal string")
-    bp.set_defaults(func=cmd_bench)
-    return p
+def _parse(argv: list[str]):
+    """``(handler, args)`` for ``argv`` as ``_COMMANDS`` says: options anywhere among the positionals,
+    the last of a repeated option winning, every token after the subcommand's first ``--`` a value."""
+    command, (handler, positionals, options) = None, _TOP
+    names, values, extras, rest, pending, name = iter(positionals), {}, [], False, None, None
+    for i, token in enumerate(argv):
+        option = None if rest else "--" if token == "--" and command else _option(token, options, command)
+        if pending and option is not None:
+            break  # ``pending`` needs a value here
+        if option == "--help":
+            _exit(command, f"ignored argument: {token}" if "=" in token or token[:2] == "-h" != token else None)
+        if option == "--":  # dropped, unless it ends argv and no positional comes just before it
+            rest = True
+            extras += [token] * (i + 1 == len(argv) and (not name or name[0] == "-"))
+            continue
+        if option and not pending and "=" not in token:
+            pending = option
+            continue
+        name = pending or option or option is None and next(names, None)
+        text, pending = token.partition("=")[2] if option else token, None
+        if not name:
+            extras.append(token)
+            continue
+        convert, choices = (options.get(name) or positionals[name])[:2]
+        try:
+            value = convert(text)
+        except ValueError as e:
+            _exit(command, f"argument {name}: {e}")
+        if choices and value not in choices:
+            _exit(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+        if not command:  # argparse reads every option name up to the subcommand's "--" first
+            command, (handler, positionals, options) = value, _COMMANDS[value]
+            names = iter(positionals)
+            for later in itertools.takewhile("--".__ne__, argv[i + 1:]):
+                _option(later, options, command)
+        values[name.lstrip("-")] = value
+    missing = [*names, *(o for o, s in options.items() if s[3] and o[2:] not in values)]
+    if pending or missing or extras:
+        _exit(command, f"argument {pending}: expected one argument" if pending else
+              f"the following arguments are required: {', '.join(missing)}" if missing else
+              f"unrecognized arguments: {' '.join(extras)}")
+    for option, (convert, _, default, _) in options.items():
+        if option[2:] not in values:  # a string default is converted only here
+            values[option[2:]] = convert(default) if isinstance(default, str) else default
+    return handler, SimpleNamespace(**values, usage_error=lambda message: _exit(command, message))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except _UnwritableError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import resource
@@ -182,6 +184,200 @@ class TestSolve:
             main(argv)
         assert exc.value.code == 1
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+def _reference_parser():
+    """The argparse parser that read the CLI's arguments before its table
+    reader, kept as the reference the reader is compared against."""
+    import argparse
+
+    from treesearch import cli
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    p = Parser(prog="treesearch", description=cli.__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("solve", help="solve an instance")
+    sp.add_argument("input")
+    sp.add_argument("--alg", choices=["greedy", "exact", "dp", "fptas", "auto"], default="auto")
+    sp.add_argument("--eps", type=cli._parse_eps, default=None, help="epsilon for fptas, as p/q or decimal")
+    sp.add_argument("--height", type=cli._parse_count, default=None, help="explicit EST height budget for dp")
+    sp.add_argument("--limit", type=cli._parse_count, default=cli.DEFAULT_LIMIT,
+                    help=f"exact-solver node cap (default: {cli.DEFAULT_LIMIT})")
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(func=cli.cmd_solve, usage_error=sp.error)
+
+    ep = sub.add_parser("eval", help="validate and cost a strategy file")
+    ep.add_argument("instance")
+    ep.add_argument("tree")
+    ep.set_defaults(func=cli.cmd_eval)
+
+    gp = sub.add_parser("gen", help="generate an instance")
+    gp.add_argument("kind", choices=["random", "path", "star", "complete-d-ary"])
+    gp.add_argument("n", type=int)
+    gp.add_argument("--seed", type=int, default=0)
+    gp.add_argument("--arity", type=int, default=2)
+    gp.add_argument("--weights", type=cli._parse_weight_range, default=(1, 10), help="lo..hi")
+    gp.add_argument("--out", default=None)
+    gp.set_defaults(func=cli.cmd_gen)
+
+    rp = sub.add_parser("reduce", help="build a tree-search instance from an X3C family")
+    rp.add_argument("--variant", choices=["diam4", "deg16"], default="diam4")
+    rp.add_argument("--x3c", required=True)
+    rp.add_argument("--out", default=None)
+    rp.set_defaults(func=cli.cmd_reduce)
+
+    vp = sub.add_parser("verify-lemma2", help="compare the reduction decision with brute force")
+    vp.add_argument("--x3c", required=True)
+    vp.add_argument("--variant", choices=["diam4", "deg16"], default="diam4")
+    vp.set_defaults(func=cli.cmd_verify_lemma2)
+
+    bp = sub.add_parser("bench", help="run all algorithms over a directory of instances")
+    bp.add_argument("suite")
+    bp.add_argument("--eps", type=cli._parse_eps, default="1/2")
+    bp.add_argument("--limit", type=cli._parse_count, default=cli.DEFAULT_LIMIT,
+                    help=f"exact-solver node cap (default: {cli.DEFAULT_LIMIT})")
+    bp.add_argument("--json", default=None,
+                    help="also write a structured report; a cost longer than "
+                         "sys.int_info.str_digits_check_threshold digits is written as a decimal string")
+    bp.set_defaults(func=cli.cmd_bench)
+    return p
+
+
+def _outcome(read, argv):
+    """``(handler, values)`` for an argv that ``read`` accepts, "help" for one
+    that prints help and exits 0, "error" for a usage error (exit 1, with the
+    usage line and the error on stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return read(list(argv))
+    except SystemExit as e:
+        if e.code == 0:
+            assert out.getvalue().startswith("usage: treesearch") and not err.getvalue(), argv
+            return "help"
+        assert e.code == 1 and not out.getvalue(), argv
+        assert err.getvalue().startswith("usage: treesearch") and "\nerror: " in err.getvalue(), argv
+        return "error"
+
+
+def _read_with_reference(parser):
+    def read(argv):
+        args = vars(parser.parse_args(argv))
+        return args.pop("func"), {k: v for k, v in args.items() if k != "usage_error"}
+    return read
+
+
+def _read_with_table(argv):
+    from treesearch import cli
+
+    handler, args = cli._parse(argv)
+    return handler, {k: v for k, v in vars(args).items() if k != "usage_error"}
+
+
+# Tokens each subcommand's random argvs are drawn from: its options whole, by
+# prefix, ambiguous and with "=", good and bad values, negative numbers,
+# "--", help, unknown options and stray positionals.
+_COMMON_TOKENS = ["--", "-h", "--help", "--h", "--help=x", "-", "-3", "-1.5", "-.5", "-1/2", "-x", "--cap", "5",
+                  "a b", "-x y", "--out", "--ou=o.txt", "o.txt"]
+_TOKENS = {
+    "solve": ["x.txt", "--alg", "exact", "fptas", "nonsense", "--al=dp", "--a", "--eps", "1/2", "0.25", "abc",
+              "--eps=0", "--eps=-1/2", "--height", "3", "-1", "--he", "--hei=2", "--limit", "--lim=30"],
+    "eval": ["i.txt", "t.json", "--instance"],
+    "gen": ["path", "random", "complete-d-ary", "cycle", "7", "abc", "--seed", "-2", "--s=7", "--arity", "3",
+            "--weights", "1..10", "5..3", "--w=0..0", "-1..3", "--weights=-1..3"],
+    "reduce": ["--x3c", "f.x3c", "--x=g.x3c", "--variant", "deg16", "diam5", "--v=diam4", "--var"],
+    "verify-lemma2": ["--x3c", "f.x3c", "--x=g.x3c", "--variant", "deg16", "diam5", "--v=diam4", "--var"],
+    "bench": ["suite", "--eps", "1/2", "0", "abc", "--eps=-1/2", "--e=1/3", "--limit", "-1", "--lim=7",
+              "--json", "r.json", "--j="],
+}
+_READER_CASES = [
+    [], ["nosuch"], ["nosuch", "x.txt"], ["sol", "x.txt"], ["-h"], ["--help"], ["--he"], ["--help=x"],
+    ["--", "solve", "x.txt"], ["-x", "solve", "x.txt"], ["-x", "-h"], ["-3", "solve"],
+    ["solve", "x.txt"], ["solve", "x.txt", "--alg", "exact"], ["solve", "x.txt", "--alg=exact"],
+    ["solve", "--al", "exact", "x.txt"], ["solve", "x.txt", "--alg", "dp", "--alg", "greedy"],
+    ["solve", "x.txt", "--eps", "1/2", "--eps=0.25"], ["solve", "x.txt", "--eps", "-1/2"],
+    ["solve", "x.txt", "--eps=-1/2"], ["solve", "x.txt", "--height", "-1"], ["solve", "-3"],
+    ["solve", "--", "-3"], ["solve", "--", "--alg"], ["solve", "x.txt", "--", "--alg", "exact"],
+    ["solve", "x.txt", "--out", "--", "o.json"], ["solve", "x.txt", "--out", "--"], ["solve", "x.txt", "--out"],
+    ["solve", "x.txt", "--out", "-h"], ["solve", "x.txt", "--he", "3"], ["solve", "x.txt", "--hel"],
+    ["solve", "-h", "--eps", "abc"], ["solve", "--eps", "abc", "-h"], ["solve", "x.txt", "--cap", "5"],
+    ["solve", "--cap", "5", "x.txt"], ["solve", "x.txt", "y.txt"], ["solve"], ["solve", "x.txt", "--out="],
+    ["eval", "i.txt", "t.json"], ["eval", "i.txt"], ["eval", "-", "-"], ["eval", "-3", "--", "--"],
+    ["gen", "path", "5"], ["gen", "--seed", "3", "path", "--arity", "4", "5", "--out", "p.txt"],
+    ["gen", "path", "-3", "--seed", "-2"], ["gen", "star", "5", "--weights", "2..9"], ["gen", "cycle", "5"],
+    ["gen", "path", "five"], ["gen", "path", "5", "--weights", "-1..3"], ["gen", "path", "5", "--w=0..0"],
+    ["reduce", "--x3c", "f.x3c"], ["reduce", "--x3c=f.x3c", "--variant=deg16", "--out", "r.txt"],
+    ["reduce"], ["reduce", "--variant", "deg16"], ["reduce", "--x3c", "f.x3c", "--variant", "diam5"],
+    ["verify-lemma2", "--x3c", "f.x3c"], ["verify-lemma2", "--x", "f.x3c", "--v", "deg16"],
+    ["verify-lemma2", "--x3c", "f.x3c", "--x3c", "g.x3c"], ["verify-lemma2"], ["verify-lemma2", "f.x3c"],
+    ["bench", "suite"], ["bench", "suite", "--eps", "1/3", "--limit", "7", "--json", "r.json"],
+    ["bench", "--json=r.json", "suite", "--e=0.5"], ["bench", "suite", "--lim", "-1"], ["bench"],
+    ["solve", "x.txt", "--eps", "abc"], ["solve", "x.txt", "--eps", "0"], ["bench", "suite", "--eps=-1/2"],
+    ["gen", "path", "3", "--weights", "abc"], ["gen", "path", "3", "--weights", "5..3"],
+    ["gen", "random", "3", "--weights=-1..3"], ["solve", "x.txt", "--limit", "-1"],
+    ["bench", "suite", "--limit", "-1"],
+]
+
+
+def test_reader_matches_the_reference_parser():
+    """Where the argparse parser the CLI used before accepts an argv, the table
+    reader gives the same handler and values; where it prints help, so does the
+    reader; where it refuses one, the reader exits 1 with its usage line and an
+    error. Listed cases first, then seeded random argvs per subcommand.
+
+    One difference is kept on purpose: when a "--" after the first one is a
+    positional's whole value (``eval -3 -- --``), argparse drops it too and
+    gives that positional [], which no handler can read; the reader keeps "--"."""
+    import random
+
+    reference = _read_with_reference(_reference_parser())
+    rng = random.Random(23)
+    cases = list(_READER_CASES)
+    for command, tokens in _TOKENS.items():
+        pool = tokens + _COMMON_TOKENS
+        cases += [[command, *rng.choices(pool, k=rng.randint(0, 6))] for _ in range(400)]
+    outcomes = {"help": 0, "error": 0, "values": 0}
+    for argv in cases:
+        expected = _outcome(reference, argv)
+        if isinstance(expected, tuple) and [] in expected[1].values():
+            expected = expected[0], {k: "--" if v == [] else v for k, v in expected[1].items()}
+        assert _outcome(_read_with_table, argv) == expected, argv
+        outcomes[expected if isinstance(expected, str) else "values"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"], ["gen", "path", "-h"]],
+                         ids=["help", "h", "solve-help", "gen-h"])
+def test_help_names_every_option(argv):
+    """Help exits 0 and prints the usage line of its subcommand, or of all of
+    them, naming each of its options and positionals in the table."""
+    from treesearch.cli import _COMMANDS
+
+    done = _cli(*argv)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    lines = done.stdout.splitlines()
+    commands = [argv[0]] if argv[0] in _COMMANDS else list(_COMMANDS)
+    assert len(lines) == len(commands) + (len(commands) > 1)
+    for command in commands:
+        line, = (line for line in lines if line.startswith(f"usage: treesearch {command} [-h]"))
+        _, positionals, options = _COMMANDS[command]
+        words = {word.strip("[]") for word in line.split()}
+        assert {*options, *positionals} <= words, line
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["nosuch", "x.txt"]],
+                         ids=["no-arguments", "unknown-subcommand", "unknown-subcommand-with-argument"])
+def test_missing_or_unknown_subcommand_is_usage_error(argv):
+    done = _cli(*argv)
+    assert done.returncode == 1 and not done.stdout
+    assert done.stderr.startswith("usage: treesearch [-h]") and "\nerror: " in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 class TestEval:
@@ -486,10 +682,10 @@ class TestBench:
 
 def test_cli_import_graph():
     """Importing the CLI loads neither ``dataclasses`` nor ``inspect`` nor
-    ``fractions`` with its ``decimal`` (each costs milliseconds of every
-    child's start-up) nor ``json`` and ``gen`` (only a few paths use them),
-    but does load every module that the
-    benchmark's traced replay wraps right after that import."""
+    ``fractions`` with its ``decimal`` nor ``argparse`` with its ``gettext``
+    and ``locale`` (each costs milliseconds of every child's start-up) nor
+    ``json`` and ``gen`` (only a few paths use them), but does load every
+    module that the benchmark's traced replay wraps right after that import."""
     replay = ROOT / "perfbench" / "replay.py"
     spec = importlib.util.spec_from_file_location("_replay", replay)
     module = importlib.util.module_from_spec(spec)
@@ -501,7 +697,8 @@ def test_cli_import_graph():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     loaded = set(done.stdout.split())
-    assert not {"dataclasses", "decimal", "fractions", "inspect", "json", "treesearch.gen"} & loaded
+    assert not {"argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json", "locale",
+                "treesearch.gen"} & loaded
     assert {f"treesearch.{name}" for name in module.SPANS} <= loaded
 
 
@@ -512,19 +709,19 @@ _RAN = """
 import sys, types
 from treesearch.cli import main
 code = main(sys.argv[1:])
-print("ran", *(m for m in ("bounded_dp", "bounds", "diameter", "exact", "reduction")
+print("ran", *(m for m in ("bounded_dp", "bounds", "diameter", "exact", "fptas", "greedy", "reduction")
                if type(sys.modules.get(f"treesearch.{m}")) is types.ModuleType))
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize("command, ran, not_ran", [
-    ("eval", set(), {"bounded_dp", "diameter", "exact", "reduction"}),
-    ("solve-exact", {"exact"}, {"bounded_dp", "reduction"}),
-    ("verify-lemma2", {"reduction"}, {"bounded_dp"}),
-    ("solve-auto-greedy", {"diameter"}, {"bounded_dp", "bounds", "exact", "reduction"}),
-    ("reduce", {"reduction"}, {"bounded_dp", "bounds", "exact"}),
-    ("verify-lemma2-m3", {"reduction"}, {"bounds", "exact"}),
+    ("eval", set(), {"bounded_dp", "diameter", "exact", "fptas", "greedy", "reduction"}),
+    ("solve-exact", {"exact"}, {"bounded_dp", "fptas", "greedy", "reduction"}),
+    ("verify-lemma2", {"reduction"}, {"bounded_dp", "fptas", "greedy"}),
+    ("solve-auto-greedy", {"diameter", "greedy"}, {"bounded_dp", "bounds", "exact", "fptas", "reduction"}),
+    ("reduce", {"reduction"}, {"bounded_dp", "bounds", "exact", "fptas", "greedy"}),
+    ("verify-lemma2-m3", {"reduction"}, {"bounds", "exact", "fptas", "greedy"}),
 ], ids=["eval", "solve-exact", "verify-lemma2", "solve-auto-greedy", "reduce", "verify-lemma2-m3"])
 def test_subcommands_run_only_the_modules_they_use(capsys, tmp_path, command, ran, not_ran):
     inst, strategy, x3c = tmp_path / "p5.txt", tmp_path / "s.json", tmp_path / "m1.x3c"
@@ -579,6 +776,12 @@ def test_recursion_limit_call_sites():
     searches on explicit lists. Any new caller of ``setrecursionlimit`` in
     the library fails here."""
     assert _call_sites("setrecursionlimit") == []
+
+
+def test_no_argparse():
+    """The CLI reads its arguments through its own table: no module of the
+    library imports ``argparse``, whose import costs every child start-up time."""
+    assert _call_sites("argparse") == []
 
 
 def test_exact_needs_no_greedy_bound():
