@@ -161,6 +161,7 @@ class TestSolve:
     @pytest.mark.parametrize("argv", [
         ["solve", "x.txt", "--eps", "abc"],
         ["solve", "x.txt", "--eps", "0"],
+        ["solve", "x.txt", "--eps", "1e-999999999"],
         ["bench", "suite", "--eps=-1/2"],
         ["gen", "path", "3", "--weights", "abc"],
         ["gen", "path", "3", "--weights", "5..3"],
@@ -168,8 +169,8 @@ class TestSolve:
         ["solve", "x.txt", "--height", "-1"],
         ["solve", "x.txt", "--limit", "-1"],
         ["bench", "suite", "--limit", "-1"],
-    ], ids=["eps-abc", "eps-0", "eps-negative", "weights-abc", "weights-reversed", "weights-negative",
-            "height-negative", "limit-negative", "bench-limit-negative"])
+    ], ids=["eps-abc", "eps-0", "eps-huge-exponent", "eps-negative", "weights-abc", "weights-reversed",
+            "weights-negative", "height-negative", "limit-negative", "bench-limit-negative"])
     def test_bad_option_value_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -421,14 +422,14 @@ def _spider(legs):
     return InputTree(parent, [1] * len(parent))
 
 
-def _cli(*argv, address_space=None, timeout=120):
+def _cli(*argv, address_space=None, timeout=120, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, at its default recursion limit; with
     ``address_space`` (bytes) the child alone runs under that RLIMIT_AS."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
-    return subprocess.run([sys.executable, "-m", "treesearch.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=timeout, preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "treesearch.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout, preexec_fn=limit)
 
 
 class TestTallStrategies:
@@ -485,6 +486,13 @@ class TestGen:
     def test_n_zero_rejected(self, capsys):
         code, _, err = run(capsys, "gen", "path", "0")
         assert code == 2
+
+    def test_payload_past_a_pipe_buffer_arrives_whole(self):
+        # The child ends with os._exit, which flushes nothing itself: about 250 KB must still
+        # reach the pipe, byte for byte.
+        done = _cli("gen", "random", "20000", "--seed", "1")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == format_instance(random_tree(20000, 1, (1, 10)))
 
     def test_huge_n_refused_before_allocating(self):
         # A billion nodes would take hundreds of GB; the child stays inside 1 GiB.
@@ -600,6 +608,19 @@ class TestUnwritableOutput:
         done = _cli(*(a.format(**names) for a in argv))
         assert done.returncode == 1
         assert "error: cannot write" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["gen", "solve", "eval", "help"])
+    def test_stdout_that_cannot_be_written(self, tmp_path, path3_file, command):
+        strategy = tmp_path / "s.json"
+        assert _cli("solve", path3_file, "--out", str(strategy)).returncode == 0
+        argv = {"gen": ["gen", "path", "5"], "solve": ["solve", path3_file],
+                "eval": ["eval", path3_file, str(strategy)], "help": ["-h"]}[command]
+        with open("/dev/full", "w") as full:
+            done = _cli(*argv, stdout=full)
+        assert done.returncode == 1
+        assert "error: cannot write stdout" in done.stderr
         assert "Traceback" not in done.stderr
 
 
@@ -776,6 +797,16 @@ def test_recursion_limit_call_sites():
     searches on explicit lists. Any new caller of ``setrecursionlimit`` in
     the library fails here."""
     assert _call_sites("setrecursionlimit") == []
+
+
+def test_one_process_exit():
+    """Only the program entry ends the process with ``os._exit``, and both
+    ``python -m treesearch.cli`` and the ``treesearch`` script reach it."""
+    assert _call_sites("_exit") == ["cli.entry"]
+    cli = ast.parse((SRC / "treesearch" / "cli.py").read_text())
+    assert ast.unparse(cli.body[-1]) == "if __name__ == '__main__':\n    entry()"
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["treesearch", "=", '"treesearch.cli:entry"']
 
 
 def test_no_argparse():
