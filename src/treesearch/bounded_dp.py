@@ -77,11 +77,7 @@ HEIGHT_CAP = 12
 
 class ESTNode(_Record):
     __slots__ = ("assignment", "left", "right")
-
-    def __init__(self, assignment: Assignment, left: Optional[ESTNode] = None, right: Optional[ESTNode] = None):
-        self.assignment = assignment
-        self.left = left
-        self.right = right
+    _defaults = (None, None)
 
 
 def est_iter(root: Optional[ESTNode]):
@@ -303,10 +299,6 @@ def _left_path(assignments: list[Assignment]) -> list[ESTNode]:
 
 class PBSolution(_Record):
     __slots__ = ("cost", "est")
-
-    def __init__(self, cost: int, est: ESTNode):
-        self.cost = cost
-        self.est = est
 
 
 def solve_pb(tree: InputTree, forest: SubforestId, plp: PLP, budget: int) -> Optional[PBSolution]:

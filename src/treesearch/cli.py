@@ -16,15 +16,13 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from . import io as tio, reduction, solve
 from .errors import (DEFAULT_LIMIT, InfeasibleError, InvalidDecisionTreeError, InvalidInstanceError,
                      ResourceLimitError, TreeSearchError)
+from .io import _parse_eps  # the --eps converter
 from .model import cost, tree_height, tree_size, validate
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -61,28 +59,6 @@ def _emit(payload: str, out: str | None) -> None:
         _write(out, payload)
     else:
         _say(payload, end="")
-
-
-# Fraction computes 10 ** |exponent| before any check, so --eps refuses first an exponent whose
-# power of ten is longer than the int-string length that is never checked (io's bound).
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
-_EXPONENT_BOUND = sys.int_info.str_digits_check_threshold
-
-
-def _parse_eps(text: str) -> Fraction:
-    from fractions import Fraction  # imported here: only fptas and bench read --eps
-
-    exponent = _EXPONENT.search(text)
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > len(str(_EXPONENT_BOUND)) or int(digits or 0) >= _EXPONENT_BOUND:
-        raise ValueError(f"bad epsilon {text!r}; its exponent must be below {_EXPONENT_BOUND}")
-    try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad epsilon {text!r}; use p/q or a decimal") from None
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    return eps
 
 
 def _parse_count(text: str) -> int:
@@ -175,12 +151,12 @@ def _cell(value) -> str:
 
 def _json_cost(value):
     """A cost as a JSON number, or as its decimal string when it is longer than
-    sys.int_info.str_digits_check_threshold digits: past that length ``json.dumps`` and
-    ``json.loads`` may refuse to convert it, depending on the interpreter's int-string limit."""
+    ``io._SHORT`` digits (sys.int_info.str_digits_check_threshold): past that length ``json.dumps``
+    and ``json.loads`` may refuse to convert it, depending on the interpreter's int-string limit."""
     if value is None:
         return None
     text = tio.format_int(value)
-    return value if len(text) <= sys.int_info.str_digits_check_threshold else text
+    return value if len(text) <= tio._SHORT else text
 
 
 def cmd_bench(args) -> int:

@@ -14,19 +14,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import bounded_dp
+from .io import _parse_eps
 from .model import DecisionNode, InputTree, cost
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _as_fraction(eps: Fraction | int | str) -> Fraction:
-    from fractions import Fraction  # imported here: only the FPTAS needs it
-
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return eps
 
 
 def scale_weights(tree: InputTree, eps: Fraction | int | str) -> InputTree:
@@ -34,7 +26,7 @@ def scale_weights(tree: InputTree, eps: Fraction | int | str) -> InputTree:
 
     All-zero instances scale to themselves: any valid tree is optimal there.
     """
-    eps = _as_fraction(eps)
+    eps = _parse_eps(eps)
     peak = max(tree.weight)
     if peak == 0:
         return tree
@@ -64,7 +56,7 @@ def fptas(tree: InputTree, eps: Fraction | int | str) -> tuple[DecisionNode, int
     (eps/2) * OPT, since for n >= 2 the heaviest node sits at depth >= 1.
     So cost_w(S) <= rho * (1 + eps/2) * OPT = (1 + eps) * OPT.
     """
-    eps = _as_fraction(eps)
+    eps = _parse_eps(eps)
     half = eps / 2
     scaled = scale_weights(tree, half)
     _, strategy = bounded_dp.optimal_bounded(scaled, ratio=(1 + eps) / (1 + half))

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
 from .model import DecisionNode, InputTree, Leaf, Query
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # Up to this many digits a conversion is never checked against the limit
@@ -59,6 +63,26 @@ def format_int(value: int) -> str:
     k = value.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
     high, low = divmod(value, 10 ** k)
     return format_int(high) + format_int(low).zfill(k)
+
+
+def _parse_eps(eps: Fraction | int | str) -> Fraction:
+    """``Fraction(eps)``, refused with ValueError unless positive. ``Fraction``
+    computes 10 ** |exponent| of a text before any check, so a text whose
+    exponent is ``_SHORT`` or more is refused first."""
+    from fractions import Fraction  # imported here: only fptas and bench read an epsilon
+
+    if isinstance(eps, str):
+        exponent = re.search(r"[eE][-+]?([0-9_]+)\s*$", eps)  # compiled on first use, not per import
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_SHORT)) or int(digits or 0) >= _SHORT:
+            raise ValueError(f"bad epsilon {eps!r}; its exponent must be below {_SHORT}")
+    try:
+        value = Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad epsilon {eps!r}; use p/q or a decimal") from None
+    if value <= 0:
+        raise ValueError("epsilon must be positive")
+    return value
 
 
 def parse_instance(text: str) -> InputTree:

@@ -47,12 +47,14 @@ class InputTree:
             raise InvalidInstanceError("instance must have at least one node")
         if len(weight) != n:
             raise InvalidInstanceError("parent and weight lengths differ")
-        roots = [v for v in range(n) if parent[v] == -1]
+        self.parent = tuple(parent)
+        if set(map(type, self.parent)) != {int}:  # a float id was once truncated, a bool read as 0 or 1
+            raise InvalidInstanceError("parent ids must be integers")
+        roots = [v for v in range(n) if self.parent[v] == -1]
         if len(roots) != 1:
             raise InvalidInstanceError(f"expected exactly one root, found {len(roots)}")
         self.n = n
         self.root = roots[0]
-        self.parent = tuple(int(p) for p in parent)
         for v, p in enumerate(self.parent):
             if v != self.root and not (0 <= p < n):
                 raise InvalidInstanceError(f"node {v}: parent {p} out of range")
@@ -73,6 +75,8 @@ class InputTree:
             seen = set()
             for u in range(n):
                 for c in kids[u]:
+                    if c.__class__ is not int or not 0 <= c < n:  # a negative id would wrap around
+                        raise InvalidInstanceError(f"children_order lists {c!r}, not a node id")
                     if self.parent[c] != u:
                         raise InvalidInstanceError(f"node {c} listed under {u} but parent is {self.parent[c]}")
                     if c in seen:
@@ -146,9 +150,27 @@ class _Record:
     """A record whose fields are its ``__slots__``, in order: the repr lists
     them as ``Name(field=value, ...)``, two records are equal when they are
     of the same class with equal fields, and a record is unhashable, since
-    its fields can be reassigned."""
+    its fields can be reassigned.
+
+    ``__init_subclass__`` writes each record class's ``__init__`` from its
+    ``__slots__``, as ``dataclasses`` would: fields by position or keyword,
+    in slot order, the last ``len(_defaults)`` of them optional, each stored
+    as by hand (through ``_set`` in a `_FrozenRecord`). ``dataclasses``
+    itself is not imported: its import cost every CLI child milliseconds."""
 
     __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("__slots__", ())
+        if not fields:  # no fields of its own, like _FrozenRecord
+            return
+        store = "_set(self, {0!r}, {0})" if issubclass(cls, _FrozenRecord) else "self.{0} = {0}"
+        namespace = {"_set": _set}
+        exec(f"def __init__(self, {', '.join(fields)}):\n" + "".join(f"    {store.format(f)}\n" for f in fields),
+             namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__qualname__, init.__defaults__ = f"{cls.__qualname__}.__init__", cls._defaults
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])
@@ -187,22 +209,15 @@ class _FrozenRecord(_Record):
 class Leaf(_FrozenRecord):
     __slots__ = ("node",)
 
-    def __init__(self, node: int):
-        _set(self, "node", node)
-
 
 class Query(_FrozenRecord):
     """A query node. Equality, hashing and repr walk the strategy with an
     explicit stack, so they work on strategies taller than the recursion
     limit; they give value equality, equal hashes for equal trees, and the
-    repr text ``Query(query=.., no=.., yes=..)``."""
+    repr text ``Query(query=.., no=.., yes=..)``. ``no`` is the NO branch
+    (the marked node is outside T_query), ``yes`` the YES branch (inside)."""
 
     __slots__ = ("query", "no", "yes")
-
-    def __init__(self, query: int, no: Optional[DecisionNode], yes: Optional[DecisionNode]):
-        _set(self, "query", query)
-        _set(self, "no", no)    # NO branch: marked node outside T_query
-        _set(self, "yes", yes)  # YES branch: marked node inside T_query
 
     def _preorder(self) -> list:
         """Query ids and the other nodes (leaves, None) in preorder. Every
@@ -252,10 +267,6 @@ class NodePiece(_FrozenRecord):
     """
 
     __slots__ = ("nodes", "top")
-
-    def __init__(self, nodes: frozenset[int], top: int):
-        _set(self, "nodes", nodes)
-        _set(self, "top", top)
 
     @staticmethod
     def of(tree: InputTree, nodes: Iterable[int]) -> "NodePiece":
@@ -335,10 +346,6 @@ def tree_size(root: DecisionNode) -> int:
 
 class Diagnostics(_Record):
     __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: list[str]):
-        self.ok = ok
-        self.violations = violations
 
     def raise_if_invalid(self):
         if not self.ok:

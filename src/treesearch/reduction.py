@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 from . import exact  # a lazy module: it runs only for decide_cover's small-tree cross-check
 from .errors import DEFAULT_LIMIT, InvalidInstanceError, ResourceLimitError, TreeSearchError
-from .model import DecisionNode, InputTree, Leaf, Query, _FrozenRecord, _Record, _set, cost, query_depths
+from .model import DecisionNode, InputTree, Leaf, Query, _FrozenRecord, _Record, cost, query_depths
 
 
 class X3CInstance(_FrozenRecord):
@@ -56,10 +56,6 @@ class X3CInstance(_FrozenRecord):
     """
 
     __slots__ = ("universe_size", "sets")
-
-    def __init__(self, universe_size: int, sets: tuple[tuple[int, int, int], ...]):
-        _set(self, "universe_size", universe_size)
-        _set(self, "sets", sets)
 
     @staticmethod
     def of(universe_size: int, family: Iterable[Sequence[int]]) -> "X3CInstance":
@@ -140,47 +136,17 @@ def _gamma(inst: X3CInstance, pi: Sequence[PiItem], i: int, j: int) -> int:
 class ReductionOutput(_Record):
     """A generated tree-search instance with its role bookkeeping.
 
-    All weights stored on the instance are twice the recurrence's values,
-    which keeps w(t_i) integral; costs, gaps and the cover threshold scale
-    by the same factor, so decisions are unchanged.
+    ``variant`` is "diam4" or "deg16". All weights stored on the instance
+    are twice the recurrence's values, which keeps w(t_i) integral:
+    ``element_weight`` holds the doubled w(u_j) and ``big_w`` the doubled
+    W_{u_j}. Costs, gaps and the cover threshold scale by the same factor,
+    so decisions are unchanged.
     """
 
     __slots__ = (
         "instance", "variant", "x3c", "pi", "root", "r_nodes", "t_nodes", "s_nodes", "a_nodes",
         "h_nodes", "z_nodes", "element_weight", "big_w", "gammas",
     )
-
-    def __init__(
-        self,
-        instance: InputTree,
-        variant: str,  # "diam4" or "deg16"
-        x3c: X3CInstance,
-        pi: tuple[PiItem, ...],
-        root: int,
-        r_nodes: tuple[int, ...],
-        t_nodes: tuple[int, ...],
-        s_nodes: tuple[tuple[int, int, int], ...],
-        a_nodes: tuple[tuple[int, int, int, int], ...],
-        h_nodes: tuple[int, ...],
-        z_nodes: tuple[int, ...],
-        element_weight: tuple[int, ...],  # doubled w(u_j)
-        big_w: tuple[int, ...],  # doubled W_{u_j}
-        gammas: tuple[tuple[int, int, int], ...],
-    ):
-        self.instance = instance
-        self.variant = variant
-        self.x3c = x3c
-        self.pi = pi
-        self.root = root
-        self.r_nodes = r_nodes
-        self.t_nodes = t_nodes
-        self.s_nodes = s_nodes
-        self.a_nodes = a_nodes
-        self.h_nodes = h_nodes
-        self.z_nodes = z_nodes
-        self.element_weight = element_weight
-        self.big_w = big_w
-        self.gammas = gammas
 
     def set_weight(self, i: int) -> int:
         """Doubled w(X_i): total element weight of set i."""
@@ -474,15 +440,16 @@ def cost_gap(red: ReductionOutput, spec: Iterable[int]) -> int:
     return direct
 
 
-SWEEP_LIMIT = 20  # most sets decide_cover sweeps: 2^m realizations
 # Most integer steps decide_cover's sweep may take, predicted as
 # 2^m * (m + |U|): each realization's fold walks every set and element once.
 # Measured in-process (Python 3.11, 2-vCPU VM): 960 ns per step on 18
 # cyclic sets over 18 elements (9.4e6 steps, 9.1 s), 118 ns per step on 16
 # disjoint sets over 1002 elements (6.7e7 steps, 7.9 s), so the limit runs
-# for 8 to 65 s, about what SWEEP_LIMIT admits (20 cyclic sets over 21
-# elements: 4.3e7 steps, about 35 s). The families of the tests and the
-# benchmark below SWEEP_LIMIT predict at most 2^10 * 22 steps.
+# for 8 to 65 s (20 cyclic sets over 21 elements: 4.3e7 steps, about 35 s).
+# The families of the tests and the benchmark predict at most 2^10 * 22
+# steps. No cap on m is needed beside it: with multiplicity <= 3, 3m <= 3|U|,
+# so m <= |U|, and from m = 21 on 2^m * (m + |U|) >= 2^21 * 42 = 88 080 384,
+# above the limit.
 SWEEP_STEPS_LIMIT = 2**26
 # Most bits build lets the element weights take, as it predicts them (a lower
 # bound on their true size). Measured in-process (Python 3.11, 2-vCPU VM): one set over n = 6000
@@ -513,21 +480,16 @@ def decide_cover(red: ReductionOutput) -> bool:
     strategies are realizations): up to ``exact.DEFAULT_LIMIT`` nodes.
 
     Work is predicted before the sweep: 2^m folds of m + |U| steps each,
-    so an m above ``SWEEP_LIMIT``, or 2^m * (m + |U|) above
-    ``SWEEP_STEPS_LIMIT``, is refused up front with ``ResourceLimitError``.
+    so 2^m * (m + |U|) above ``SWEEP_STEPS_LIMIT`` is refused up front with
+    ``ResourceLimitError``.
     Measured in-process (Python 3.11, 2-vCPU VM) on cyclic families
     {i, i+1, i+2} over 3 * ceil(m/3) elements, diam4 / deg16: 0.43 / 0.49 s
     at m = 14, 2.1 / 2.0 s at m = 16 and 8.2 / 8.7 s at m = 18, about x4.2
     per two sets; at the limit m = 20 that extrapolates to about 35 s."""
-    m = red.x3c.m
-    if m > SWEEP_LIMIT:
-        raise ResourceLimitError(f"{m} sets: 2^m realization sweep above the limit")
-    n = red.x3c.universe_size
-    steps = (1 << m) * (m + n)
-    if steps > SWEEP_STEPS_LIMIT:
-        raise ResourceLimitError(
-            f"{m} sets over {n} elements: the 2^m realization sweep would take about "
-            f"{steps} steps, above the limit {SWEEP_STEPS_LIMIT}")
+    m, n = red.x3c.m, red.x3c.universe_size
+    if (1 << m) * (m + n) > SWEEP_STEPS_LIMIT:
+        raise ResourceLimitError(f"{m} sets over {n} elements: 2^m realization sweep above the limit: "
+                                 f"2^{m} * {m + n} steps, more than {SWEEP_STEPS_LIMIT}")
     tree = red.instance
     fold = _cost_fold(red)
     d_a_cost = cost(realization(red, frozenset()), tree)

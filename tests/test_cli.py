@@ -809,6 +809,25 @@ def test_one_process_exit():
     assert scripts.split() == ["treesearch", "=", '"treesearch.cli:entry"']
 
 
+def test_records_state_their_fields_once():
+    """Each record class's ``__init__`` is written from its ``__slots__`` by
+    ``_Record.__init_subclass__``, the library's one ``exec``; no record class
+    in the library writes its own."""
+    assert _call_sites("exec") == ["model._Record.__init_subclass__"]
+    classes = [node for path in sorted((SRC / "treesearch").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    records = {"_Record"}
+    while True:  # add the classes derived from a record until none is left
+        found = {c.name for c in classes if {getattr(b, "id", None) for b in c.bases} & records} - records
+        if not found:
+            break
+        records |= found
+    assert {"Leaf", "Query", "NodePiece", "Diagnostics", "ESTNode", "PBSolution", "X3CInstance",
+            "ReductionOutput"} < records
+    assert not [c.name for c in classes if c.name in records and any(
+        isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in c.body)]
+
+
 def test_no_argparse():
     """The CLI reads its arguments through its own table: no module of the
     library imports ``argparse``, whose import costs every child start-up time."""

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,15 @@ def test_scaling_soundness_bounds():
 def test_rejects_nonpositive_eps(path3):
     with pytest.raises(ValueError):
         fptas(path3, 0)
+
+
+@pytest.mark.parametrize("call", [fptas, scale_weights])
+def test_rejects_huge_eps_exponent_at_once(path3, call):
+    # Fraction would compute 10 ** 999999999 before reading the sign.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent must be below"):
+        call(path3, "1e-999999999")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_star_fixture_guarantee(star4):

@@ -189,6 +189,17 @@ class TestInstance:
         with pytest.raises(InvalidInstanceError):
             InputTree([-1, 0], [1, -1])
 
+    @pytest.mark.parametrize("parent, order", [
+        ([-1, 0.9, 1.2], None),  # once truncated to (-1, 0, 1)
+        ([-1, False], None),  # once read as parent 0
+        ([-1, 0], [[5], []]),  # once an IndexError
+        ([-1, 0], [[1.0], []]),  # once a TypeError
+        ([-1, 0], [[-1], []]),  # once read as node 1, from the end of the parents
+    ], ids=["float-parents", "bool-parent", "child-out-of-range", "float-child", "negative-child"])
+    def test_node_ids_must_be_in_range_integers(self, parent, order):
+        with pytest.raises(InvalidInstanceError):
+            InputTree(parent, [1] * len(parent), order)
+
     def test_children_order_respected(self):
         t = InputTree([-1, 0, 0], [1, 1, 1], [[2, 1], [], []])
         assert t.children[0] == (2, 1)
