@@ -107,13 +107,6 @@ def est_cost(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] =
     return total
 
 
-def forest_nodes(tree: InputTree, fid: SubforestId) -> frozenset[int]:
-    """The node set of a subforest id: T_v for ("T", v), the first f child
-    subtrees of u for ("F", u, f)."""
-    tops = [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]
-    return frozenset(v for top in tops for v in tree.subtree_nodes(top))
-
-
 def validate_est(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] = None) -> Diagnostics:
     """Check EST properties: one leaf and one internal node per forest node,
     the search property among assigned nodes, and no right child under

@@ -20,9 +20,9 @@ from typing import NoReturn
 
 from . import io as tio, reduction, solve
 from .errors import (DEFAULT_LIMIT, InfeasibleError, InvalidDecisionTreeError, InvalidInstanceError,
-                     ResourceLimitError, TreeSearchError)
+                     ResourceLimitError)
 from .io import _parse_eps  # the --eps converter
-from .model import cost, tree_height, tree_size, validate
+from .model import measure
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -89,20 +89,19 @@ def cmd_solve(args) -> int:
     c, strategy, alg = solve(tree, args.alg, eps=args.eps, height=args.height, limit=args.limit)
     elapsed = time.perf_counter() - t0
     _emit(tio.format_decision_tree(strategy), args.out)
-    _say(f"alg {alg}", f"cost {tio.format_int(c)}", f"height {tree_height(strategy)}",
-         f"nodes {tree_size(strategy)}", f"time {elapsed:.3f}s")
+    _, _, height, nodes = measure(strategy, tree, check=False)
+    _say(f"alg {alg}", f"cost {tio.format_int(c)}", f"height {height}", f"nodes {nodes}", f"time {elapsed:.3f}s")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     tree = tio.parse_instance(_read(args.instance))
     strategy = tio.parse_decision_tree(_read(args.tree))
-    diag = validate(strategy, tree)
-    if not diag.ok:
-        _say("invalid", *(f"violation: {v}" for v in diag.violations))
+    violations, c, height, _ = measure(strategy, tree)
+    if violations:
+        _say("invalid", *(f"violation: {v}" for v in violations))
         return EXIT_INVALID
-    _say("valid", f"cost {tio.format_int(cost(strategy, tree, check=False))}",
-         f"height {tree_height(strategy)}")
+    _say("valid", f"cost {tio.format_int(c)}", f"height {height}")
     return EXIT_OK
 
 
@@ -141,60 +140,10 @@ def cmd_verify_lemma2(args) -> int:
     return EXIT_OK if via_tree == via_brute else EXIT_INVALID
 
 
-_BENCH_ALGS = ("exact", "greedy", "dp", "fptas")
-
-
-def _cell(value) -> str:
-    """A bench table cell; ints of any length go through ``format_int``."""
-    return "skipped" if value is None else tio.format_int(value) if isinstance(value, int) else str(value)
-
-
-def _json_cost(value):
-    """A cost as a JSON number, or as its decimal string when it is longer than
-    ``io._SHORT`` digits (sys.int_info.str_digits_check_threshold): past that length ``json.dumps``
-    and ``json.loads`` may refuse to convert it, depending on the interpreter's int-string limit."""
-    if value is None:
-        return None
-    text = tio.format_int(value)
-    return value if len(text) <= tio._SHORT else text
-
-
 def cmd_bench(args) -> int:
-    suite = Path(args.suite)
-    if not suite.is_dir():
-        raise InvalidInstanceError(f"{args.suite} is not a directory")
-    files = sorted(p for p in suite.iterdir() if p.is_file())
-    if not files:
-        raise InvalidInstanceError(f"no instances in {args.suite}")
-    rows, failed = [], False
-    for path in files:
-        row = {"instance": path.name}
-        try:
-            tree = tio.parse_instance(_read(path))
-            row["n"] = tree.n
-            for alg in _BENCH_ALGS:
-                t0 = time.perf_counter()
-                try:
-                    row[alg], _, _ = solve(tree, alg, eps=args.eps, limit=args.limit)
-                except ResourceLimitError:
-                    row[alg] = None
-                    continue
-                row[f"{alg}_time"] = round(time.perf_counter() - t0, 4)
-                if alg in ("greedy", "fptas") and row["exact"]:
-                    row[f"{alg}_ratio"] = round(row[alg] / row["exact"], 4)
-        except TreeSearchError as e:
-            row["error"] = str(e)
-            failed = True
-        rows.append(row)
-    cols = ["instance", "n", "exact", "greedy", "greedy_ratio", "dp", "fptas", "fptas_ratio", "error"]
-    _say("  ".join(f"{c:>12}" for c in cols),
-         *("  ".join(f"{_cell(row.get(c, '')):>12}" for c in cols) for row in rows))
-    if args.json:
-        import json  # imported here: only this report writes JSON
+    from .bench import bench  # imported here: only this subcommand runs it
 
-        report = [{k: _json_cost(v) if k in _BENCH_ALGS else v for k, v in row.items()} for row in rows]
-        _write(args.json, json.dumps({"eps": str(args.eps), "rows": report}, indent=2) + "\n")
-    return EXIT_INVALID if failed else EXIT_OK
+    return EXIT_INVALID if bench(args, _read, _say, _write) else EXIT_OK
 
 
 # Each subcommand's handler, positionals (convert, choices) and options (convert, choices, default,
@@ -213,7 +162,7 @@ _COMMANDS = {
     "reduce": (cmd_reduce, {}, {"--variant": _VARIANT, "--x3c": _X3C, "--out": _STR}),
     "verify-lemma2": (cmd_verify_lemma2, {}, {"--x3c": _X3C, "--variant": _VARIANT}),
     "bench": (cmd_bench, {"suite": _STR}, {"--eps": (_parse_eps, None, "1/2", False), "--limit": _LIMIT,
-                                           "--json": _STR}),  # --json: see _json_cost
+                                           "--json": _STR}),  # --json: see bench._json_cost
 }
 _TOP = (None, {"command": (str, tuple(_COMMANDS))}, {})  # what the subcommand follows
 

@@ -6,9 +6,9 @@ order child lines appear. Decision trees are JSON with records
 ``{"query": v, "no": ..., "yes": ...}`` and ``{"leaf": v}``, written on a
 single line; both the writer and the reader walk the records with an
 explicit stack, so strategies of any height round-trip. The reader takes
-records in the writer's key order as record-sized tokens of one regular
-expression, and reads other key orders, indented files and escaped keys a
-single JSON token at a time in the same loop. X3C files:
+text in the writer's spelling one strategy node per loop turn, and leaves
+other key orders, indented files and escaped keys, and every error, to
+``jsontokens``, which reads a JSON token at a time. X3C files:
 first line ``n m``, then m lines of three 0-based element indices.
 
 Weights and costs can be far longer than the 4300 decimal digits to which
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+from operator import methodcaller
 from typing import TYPE_CHECKING
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
 # (the limit cannot be set below it).
 _SHORT = sys.int_info.str_digits_check_threshold
 _SHORT_BOUND = 10 ** _SHORT
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = r"[+-]?[0-9]+"  # compiled on first use: only weights past _SHORT digits need it
 
 
 def parse_int(text: str) -> int:
@@ -44,7 +45,7 @@ def parse_int(text: str) -> int:
     digits after an optional sign. Long text is read in halves."""
     if len(text) <= _SHORT:
         return int(text)
-    if not _DECIMAL.fullmatch(text):
+    if not re.fullmatch(_DECIMAL, text):
         raise ValueError(f"invalid decimal integer of {len(text)} characters")
     if text[0] in "+-":
         value = parse_int(text[1:])
@@ -86,14 +87,17 @@ def _parse_eps(eps: Fraction | int | str) -> Fraction:
 
 
 def parse_instance(text: str) -> InputTree:
-    lines = [ln for ln in text.splitlines()]
-    rows: list[tuple[int, str]] = [
-        (i + 1, ln) for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    """The instance in ``text``. Each line is split once, as it is read; the
+    reader checks what needs a line number (syntax, id and parent ranges,
+    repeated ids, the root) and builds the parent, weight and children
+    columns that ``InputTree`` takes, which checks the tree they form. The
+    rows keep their lines unsplit: a million lists of parts, held at once,
+    cost more memory and garbage-collector passes than splitting saves."""
+    rows = [(i, line) for i, line in enumerate(text.splitlines(), 1) if (head := line.lstrip()) and head[0] != "#"]
     if not rows:
         raise InvalidInstanceError("empty instance file")
-    lineno, header = rows[0]
-    parts = header.split()
+    lineno, line = rows[0]
+    parts = line.split()
     if len(parts) != 2:
         raise InvalidInstanceError(f"line {lineno}: expected 'n root_id'")
     try:
@@ -109,12 +113,13 @@ def parse_instance(text: str) -> InputTree:
     parent = [None] * n
     weight = [0] * n
     children = [[] for _ in range(n)]
-    for lineno, ln in rows[1:]:
-        parts = ln.split()
+    for lineno, line in rows[1:]:
+        parts = line.split()
         if len(parts) != 3:
             raise InvalidInstanceError(f"line {lineno}: expected 'id parent_id weight'")
+        v, p, w = parts
         try:
-            v, p, w = int(parts[0]), int(parts[1]), parse_int(parts[2])
+            v, p, w = int(v), int(p), int(w) if len(w) <= _SHORT else parse_int(w)
         except ValueError:
             raise InvalidInstanceError(f"line {lineno}: expected integers 'id parent_id weight'") from None
         if not 0 <= v < n:
@@ -126,10 +131,10 @@ def parse_instance(text: str) -> InputTree:
         if p == -1:
             if v != root:
                 raise InvalidInstanceError(f"line {lineno}: node {v} has parent -1 but root is {root}")
-        else:
-            if not 0 <= p < n:
-                raise InvalidInstanceError(f"line {lineno}: parent id {p} out of range")
+        elif 0 <= p < n:
             children[p].append(v)
+        else:
+            raise InvalidInstanceError(f"line {lineno}: parent id {p} out of range")
         parent[v] = p
         weight[v] = w
     if parent[root] != -1:
@@ -153,136 +158,79 @@ def format_instance(tree: InputTree) -> str:
 def format_decision_tree(root: DecisionNode) -> str:
     """The strategy as one line of JSON (``json.dumps`` of its records with
     default separators), written from an explicit stack so that the text and
-    the time grow as O(n) at any height."""
+    the time grow as O(n) at any height. Each node is one loop turn: a query
+    writes its record up to its NO value, and a leaf writes its record, the
+    braces of the queries whose YES side it ends, and the YES key that
+    follows them, the spelling ``_read_written`` reads."""
     out: list[str] = []
-    todo: list = [root]  # decision nodes, and literal text to emit as is
+    todo: list = [(root, 0, "")]  # a node, the queries its text ends, and the YES key if one follows
     while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Leaf):
-            out.append(f'{{"leaf": {node.node}}}')
+        node, closes, yes = todo.pop()
+        if isinstance(node, Leaf):
+            out.append(f'{{"leaf": {node.node}}}' + "}" * closes + yes)
         elif isinstance(node, Query):
             if node.no is None or node.yes is None:
                 raise InvalidDecisionTreeError([f"query {node.query} is missing a child"])
             out.append(f'{{"query": {node.query}, "no": ')
-            todo += ("}", node.yes, ', "yes": ', node.no)
+            todo += ((node.yes, closes + 1, yes), (node.no, 0, ', "yes": '))
         else:
             raise InvalidDecisionTreeError([f"unexpected node {node!r}"])
     return "".join(out) + "\n"
 
 
-# One token and the whitespace after it. The first three alternatives are
-# record-sized, in the writer's key order and exact spacing: a whole leaf
-# record, a query record up to its NO value, and the YES key between a
-# query's two values. Each spans exactly the single tokens the later
-# alternatives would give, so records in any other key order, spacing or
-# with escaped keys are read a single token at a time: punctuation, a key,
-# an integer literal, or any other character (always an error where it
-# appears). The pattern stays a string, compiled on first use through re's
-# cache: of the CLI's subcommands only eval reads strategies.
-_WS = r"[ \t\n\r]*"
+# The writer's spelling, one piece per strategy node in preorder: a query
+# record up to its NO value, or a leaf record with the braces that close the
+# queries it ends and the YES key that may follow them. Any other character
+# is a piece of its own, with no id. The pattern stays a string, compiled on
+# first use through re's cache: of the CLI's subcommands only eval reads
+# strategies.
 _INT = r"-?(?:0|[1-9][0-9]*)"
-_TOKEN = (
-    rf'(?:\{{"leaf": (?P<leaf>{_INT})\}}'
-    rf'|\{{"query": (?P<query>{_INT}), "no":'
-    r'|(?P<yes>, "yes":)'
-    r'|(?P<open>\{)|(?P<close>\})|(?P<colon>:)|(?P<comma>,)'
-    r'|(?P<key>"(?:[^"\\\x00-\x1f]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*")'
-    rf"|(?P<int>{_INT})|(?P<other>[^ \t\n\r])){_WS}"
-)
+_WRITTEN = rf'\{{"query": ({_INT}), "no": |\{{"leaf": ({_INT})\}}(\}}*)(, "yes": )?|[\s\S]'
 
 
-# The kinds of token that may come next at each point of a record.
-_WANT_RECORD = ("leaf", "query", "open")
-_WANT_KEY = ("key",)
-_WANT_COLON = ("colon",)
-_WANT_ID = ("int",)
-_WANT_AFTER_VALUE = ("comma", "close", "yes")
-# What an error says was expected, for each kind of single token.
-_EXPECTED = {"open": "'{'", "close": "'}'", "colon": "':'", "comma": "','", "key": "a key",
-             "int": "an integer node id"}
-_QUERY_KEYS = frozenset(("query", "no", "yes"))  # built once: every query record is checked
-
-
-def _unexpected(where: str, want: tuple[str, ...]) -> InvalidDecisionTreeError:
-    what = " or ".join(_EXPECTED[kind] for kind in want if kind in _EXPECTED)
-    return InvalidDecisionTreeError([f"bad JSON at {where}: expected {what}"])
-
-
-def _key(quoted: str) -> str:
-    if "\\" in quoted:  # an escaped key: rare, so json is imported only here
-        import json
-
-        return json.loads(quoted)
-    return quoted[1:-1]
-
-
-def _node_id(key: str, digits: str) -> int:
+def _read_written(text: str) -> DecisionNode | None:
+    """The strategy in ``text`` if ``format_decision_tree`` would write it so,
+    else None. One loop turn per strategy node, each with a piece of
+    ``_WRITTEN``: a query id waits on ``stack`` until its NO side is built,
+    which then waits above it until each closing brace joins the pair and
+    the node built last into a query."""
+    pieces = map(methodcaller("groups", ""), re.finditer(_WRITTEN, text.rstrip(" \t\n\r")))  # never one list
+    stack: list = []
     try:
-        return int(digits)
-    except ValueError:  # more digits than int() accepts
-        raise InvalidDecisionTreeError([f"{key} id is too long"]) from None
-
-
-def _record(fields: dict) -> DecisionNode:
-    if fields.keys() == _QUERY_KEYS:
-        return Query(fields["query"], fields["no"], fields["yes"])
-    if fields.keys() == {"leaf"}:
-        return Leaf(fields["leaf"])
-    raise InvalidDecisionTreeError([f"bad record keys {sorted(fields)}"])
+        for query, leaf, closes, yes in pieces:
+            if query:
+                stack.append(int(query))
+                continue
+            node = Leaf(int(leaf))  # a ValueError if the piece is another character
+            for _ in closes:
+                if not stack or stack[-1].__class__ is int:  # no query has its NO side built
+                    return None
+                no = stack.pop()
+                node = Query(stack.pop(), no, node)
+            if not yes:  # the strategy ends here
+                return node if not stack and next(pieces, None) is None else None
+            if not stack or stack[-1].__class__ is not int:  # no query waits for its NO side
+                return None
+            stack.append(node)
+    except ValueError:  # another character, or more digits than int() accepts
+        return None
+    return None
 
 
 def parse_decision_tree(text: str) -> DecisionNode:
     """Read a strategy written by ``format_decision_tree``, or any JSON of
     the same records in any key order and whitespace (indented files
     included), with an explicit stack instead of recursion. Node ids must
-    be integer literals. Each loop turn reads one token: records as the
-    writer spells them come as record-sized tokens (a query takes three
-    turns, a leaf one), and anything else as single JSON tokens."""
-    tokens = re.finditer(_TOKEN, text)
-    open_records: list[tuple[dict, str]] = []  # enclosing records, each with its key awaiting a record
-    fields: dict = {}  # the record whose keys are being read
-    key = ""
-    want = _WANT_RECORD  # the kinds of token that may come next
-    for m in tokens:
-        kind = m.lastgroup
-        if kind not in want:
-            raise _unexpected(f"offset {m.start()}", want)
-        if kind == "query":  # '{"query": v, "no":', so a record comes next
-            open_records.append(({"query": _node_id("query", m["query"])}, "no"))
-        elif kind == "leaf" or kind == "close":  # a record is complete
-            node = Leaf(_node_id("leaf", m["leaf"])) if kind == "leaf" else _record(fields)
-            if not open_records:  # it is the strategy
-                if next(tokens, None) is not None:
-                    raise InvalidDecisionTreeError(["extra data after the strategy"])
-                return node
-            fields, key = open_records.pop()
-            fields[key] = node
-            want = _WANT_AFTER_VALUE
-        elif kind == "yes" or kind == "key":  # ', "yes":' comes with its colon
-            key = "yes" if kind == "yes" else _key(m["key"])
-            if key not in ("leaf", "query", "no", "yes") or key in fields:
-                raise InvalidDecisionTreeError([f"bad record keys {sorted(fields) + [key]}"])
-            if kind == "yes":
-                open_records.append((fields, key))
-                want = _WANT_RECORD
-            else:
-                want = _WANT_COLON
-        elif kind == "colon":
-            if key == "no" or key == "yes":
-                open_records.append((fields, key))
-                want = _WANT_RECORD
-            else:
-                want = _WANT_ID
-        elif kind == "int":
-            fields[key] = _node_id(key, m["int"])
-            want = _WANT_AFTER_VALUE
-        else:  # '{' or ','
-            if kind == "open":
-                fields = {}
-            want = _WANT_KEY
-    raise _unexpected("the end", want)
+    be integer literals. Text spelled as the writer spells it is read by
+    ``_read_written``; any other text, and any text with an error, by
+    ``jsontokens.read_records``, one JSON token at a time, which gives the
+    errors."""
+    strategy = _read_written(text)
+    if strategy is None:
+        from .jsontokens import read_records  # imported here: the writer's spelling never needs it
+
+        strategy = read_records(text)
+    return strategy
 
 
 def parse_x3c(text: str) -> tuple[int, list[tuple[int, int, int]]]:

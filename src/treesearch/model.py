@@ -12,6 +12,7 @@ reduction needs them) work throughout.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidDecisionTreeError, InvalidInstanceError
@@ -29,11 +30,16 @@ class InputTree:
     each subtree's nodes, so T_v holds exactly the nodes x with
     pre[v] <= pre[x] < pre[v] + size[v]. Subtrees are stored only as these
     intervals (``postorder`` is the preorder reversed), so memory is O(n).
+
+    Types, ranges and counts are checked over whole columns by built-ins
+    (``set``, ``min``, ``max``, ``count``); only the listed children's
+    parents are checked one by one. An error names the first offending
+    node, found once a column has failed.
     """
 
     __slots__ = (
         "n", "root", "parent", "children", "weight",
-        "pre", "size", "postorder", "depth", "total_weight", "max_children",
+        "pre", "size", "postorder", "total_weight", "max_children",
     )
 
     def __init__(
@@ -42,76 +48,70 @@ class InputTree:
         weight: Sequence[int],
         children_order: Optional[Sequence[Sequence[int]]] = None,
     ):
-        n = len(parent)
+        n = self.n = len(parent)
         if n == 0:
             raise InvalidInstanceError("instance must have at least one node")
         if len(weight) != n:
             raise InvalidInstanceError("parent and weight lengths differ")
-        self.parent = tuple(parent)
-        if set(map(type, self.parent)) != {int}:  # a float id was once truncated, a bool read as 0 or 1
+        parent = self.parent = tuple(parent)
+        if set(map(type, parent)) != {int}:  # a float id was once truncated, a bool read as 0 or 1
             raise InvalidInstanceError("parent ids must be integers")
-        roots = [v for v in range(n) if self.parent[v] == -1]
-        if len(roots) != 1:
-            raise InvalidInstanceError(f"expected exactly one root, found {len(roots)}")
-        self.n = n
-        self.root = roots[0]
-        for v, p in enumerate(self.parent):
-            if v != self.root and not (0 <= p < n):
-                raise InvalidInstanceError(f"node {v}: parent {p} out of range")
-        for w in weight:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise InvalidInstanceError("weights must be nonnegative integers")
-        self.weight = tuple(int(w) for w in weight)
+        if parent.count(-1) != 1:
+            raise InvalidInstanceError(f"expected exactly one root, found {parent.count(-1)}")
+        root = self.root = parent.index(-1)
+        if min(parent) < -1 or max(parent) >= n:
+            v = next(v for v, p in enumerate(parent) if not -1 <= p < n)
+            raise InvalidInstanceError(f"node {v}: parent {parent[v]} out of range")
+        weight = tuple(weight)
+        if set(map(type, weight)) != {int}:  # an int subclass other than bool is read as an int
+            weight = tuple(int(w) if isinstance(w, int) and not isinstance(w, bool) else -1 for w in weight)
+        if min(weight) < 0:
+            raise InvalidInstanceError("weights must be nonnegative integers")
+        self.weight = weight
 
         if children_order is None:
-            kids = [[] for _ in range(n)]
-            for v in range(n):
-                if v != self.root:
-                    kids[self.parent[v]].append(v)
-        else:
-            kids = [list(c) for c in children_order]
-            if len(kids) != n:
-                raise InvalidInstanceError("children_order must cover every node")
-            seen = set()
-            for u in range(n):
-                for c in kids[u]:
-                    if c.__class__ is not int or not 0 <= c < n:  # a negative id would wrap around
-                        raise InvalidInstanceError(f"children_order lists {c!r}, not a node id")
-                    if self.parent[c] != u:
-                        raise InvalidInstanceError(f"node {c} listed under {u} but parent is {self.parent[c]}")
-                    if c in seen:
-                        raise InvalidInstanceError(f"node {c} listed twice in children_order")
-                    seen.add(c)
-            if len(seen) != n - 1:
-                raise InvalidInstanceError("children_order must list every non-root node once")
-        self.children = tuple(tuple(c) for c in kids)
+            children_order = [[] for _ in range(n)]
+            for v, p in enumerate(parent):
+                if p != -1:
+                    children_order[p].append(v)
+        children = self.children = tuple(map(tuple, children_order))
+        if len(children) != n:
+            raise InvalidInstanceError("children_order must cover every node")
+        listed = [*chain.from_iterable(children)]
+        if listed and (set(map(type, listed)) != {int} or min(listed) < 0 or max(listed) >= n):
+            c = next(c for c in listed if c.__class__ is not int or not 0 <= c < n)  # a negative id would wrap
+            raise InvalidInstanceError(f"children_order lists {c!r}, not a node id")
+        for u, kids in enumerate(children):
+            for c in kids:
+                if parent[c] != u:
+                    raise InvalidInstanceError(f"node {c} listed under {u} but parent is {parent[c]}")
+        if len(set(listed)) != len(listed):
+            seen: set = set()
+            c = next(c for c in listed if c in seen or seen.add(c))
+            raise InvalidInstanceError(f"node {c} listed twice in children_order")
+        if len(listed) != n - 1:
+            raise InvalidInstanceError("children_order must list every non-root node once")
 
-        # Iterative DFS; also detects cycles / disconnected parent links.
+        # Each non-root node is listed once, under its parent, so the walk
+        # ends; it reaches all n nodes only if the parent links form a tree.
         order = []
         pre = [0] * n
-        depth = [-1] * n
-        depth[self.root] = 0
-        stack = [self.root]
+        stack = [root]
         while stack:
             u = stack.pop()
             pre[u] = len(order)
             order.append(u)
-            for c in self.children[u]:
-                depth[c] = depth[u] + 1
-                stack.append(c)
+            stack += children[u]
         if len(order) != n:
             raise InvalidInstanceError("parent links do not form a single tree")
-        self.depth = tuple(depth)
         self.pre = tuple(pre)
-        post = list(reversed(order))  # children before parents
-        self.postorder = tuple(post)
+        post = self.postorder = tuple(reversed(order))  # children before parents, the root last
         size = [1] * n
-        for u in post:
-            for c in self.children[u]:
-                size[u] += size[c]
+        for u in post[:-1]:
+            size[parent[u]] += size[u]
         self.size = tuple(size)
-        self.total_weight = sum(self.weight)
-        self.max_children = max(len(c) for c in self.children)
+        self.total_weight = sum(weight)
+        self.max_children = max(map(len, children))
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.n:  # a negative index would wrap around
@@ -143,9 +143,6 @@ class InputTree:
         return f"InputTree(n={self.n}, root={self.root}, w(T)={self.total_weight})"
 
 
-_set = object.__setattr__  # how a frozen record's __init__ stores its fields
-
-
 class _Record:
     """A record whose fields are its ``__slots__``, in order: the repr lists
     them as ``Name(field=value, ...)``, two records are equal when they are
@@ -155,8 +152,10 @@ class _Record:
     ``__init_subclass__`` writes each record class's ``__init__`` from its
     ``__slots__``, as ``dataclasses`` would: fields by position or keyword,
     in slot order, the last ``len(_defaults)`` of them optional, each stored
-    as by hand (through ``_set`` in a `_FrozenRecord`). ``dataclasses``
-    itself is not imported: its import cost every CLI child milliseconds."""
+    through its slot's descriptor, which passes by a `_FrozenRecord`'s
+    ``__setattr__`` and costs less than ``object.__setattr__`` (about 360
+    against 520 ns per ``Query``). ``dataclasses`` itself is not imported:
+    its import cost every CLI child milliseconds."""
 
     __slots__ = ()
     _defaults: tuple = ()
@@ -165,9 +164,8 @@ class _Record:
         fields = cls.__dict__.get("__slots__", ())
         if not fields:  # no fields of its own, like _FrozenRecord
             return
-        store = "_set(self, {0!r}, {0})" if issubclass(cls, _FrozenRecord) else "self.{0} = {0}"
-        namespace = {"_set": _set}
-        exec(f"def __init__(self, {', '.join(fields)}):\n" + "".join(f"    {store.format(f)}\n" for f in fields),
+        namespace = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec(f"def __init__(self, {', '.join(fields)}):\n" + "".join(f"    _set_{f}(self, {f})\n" for f in fields),
              namespace)
         cls.__init__ = init = namespace["__init__"]
         init.__qualname__, init.__defaults__ = f"{cls.__qualname__}.__init__", cls._defaults
@@ -191,8 +189,8 @@ class _Record:
 
 
 class _FrozenRecord(_Record):
-    """A `_Record` whose fields are set once, by ``__init__`` through ``_set``;
-    it hashes by the tuple of its fields."""
+    """A `_Record` whose fields are set once, by ``__init__``; it hashes by
+    the tuple of its fields."""
 
     __slots__ = ()
 
@@ -352,8 +350,12 @@ class Diagnostics(_Record):
             raise InvalidDecisionTreeError(self.violations)
 
 
-def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = None) -> Diagnostics:
-    """Check that ``root`` is a valid decision tree for ``tree`` (or a piece of it).
+def measure(root: Optional[DecisionNode], tree: InputTree, piece: Optional[NodePiece] = None,
+            check: bool = True) -> tuple[list[str], int, int, int]:
+    """One walk over a strategy: the violations that ``validate`` lists
+    (looked for only with ``check``), then the cost, the height and the node
+    count, which are those of ``cost``, ``tree_height`` and ``tree_size`` on
+    a valid strategy.
 
     Properties checked: every internal node has both children; leaf
     assignments are a bijection onto the piece; and the search property --
@@ -362,63 +364,80 @@ def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = N
     mask of permitted preorder positions: T_q is ``size[q]`` bits from
     ``pre[q]``, the whole tree n bits.
     """
-    pre, size = tree.pre, tree.size
-    if piece is None:
-        piece = NodePiece.whole(tree)
-    start = (1 << tree.n) - 1 if len(piece.nodes) == tree.n else sum(1 << pre[v] for v in piece.nodes)
+    if root is None:
+        return ["empty decision tree"] if check else [], 0, 0, 0
+    pre, size, weight, n = tree.pre, tree.size, tree.weight, tree.n
+    start = 0
+    if check:
+        if piece is None:
+            piece = NodePiece.whole(tree)
+        start = (1 << n) - 1 if len(piece.nodes) == n else sum(1 << pre[v] for v in piece.nodes)
     violations: list[str] = []
     seen: dict[int, int] = {}
-    # stack entries: (node, preorder mask of assignments permitted here)
-    stack = [(root, start)]
-    if root is None:
-        return Diagnostics(False, ["empty decision tree"])
+    total = height = count = 0
+    # stack entries: (node, preorder mask of assignments permitted here, depth)
+    stack = [(root, start, 0)]
     while stack:
-        node, allowed = stack.pop()
+        node, allowed, d = stack.pop()
+        count += 1
+        if d > height:
+            height = d
         if isinstance(node, Leaf):
             v = node.node
-            if not 0 <= v < tree.n:
-                violations.append(f"leaf id {v} out of range")
-                continue
-            seen[v] = seen.get(v, 0) + 1
-            if not allowed >> pre[v] & 1:
-                violations.append(f"leaf {v} violates the search property on its root path")
+            if check:
+                if not 0 <= v < n:
+                    violations.append(f"leaf id {v} out of range")
+                    continue
+                seen[v] = seen.get(v, 0) + 1
+                if not allowed >> pre[v] & 1:
+                    violations.append(f"leaf {v} violates the search property on its root path")
+            total += d * weight[v]
         elif isinstance(node, Query):
-            q = node.query
-            if not 0 <= q < tree.n:
-                violations.append(f"query id {q} out of range")
-                continue
-            if not allowed >> pre[q] & 1:
-                violations.append(f"query {q} violates the search property on its root path")
-            if node.no is None or node.yes is None:
-                violations.append(f"query {q} is missing a child")
-            sub = ((1 << size[q]) - 1) << pre[q]
+            sub = 0
+            if check:
+                q = node.query
+                if not 0 <= q < n:
+                    violations.append(f"query id {q} out of range")
+                    continue
+                if not allowed >> pre[q] & 1:
+                    violations.append(f"query {q} violates the search property on its root path")
+                if node.no is None or node.yes is None:
+                    violations.append(f"query {q} is missing a child")
+                sub = ((1 << size[q]) - 1) << pre[q]
             if node.yes is not None:
-                stack.append((node.yes, allowed & sub))
+                stack.append((node.yes, allowed & sub, d + 1))
             if node.no is not None:
-                stack.append((node.no, allowed & ~sub))
-        else:
+                stack.append((node.no, allowed & ~sub, d + 1))
+        elif check:
             violations.append(f"unexpected node type {type(node).__name__}")
-    for v in piece.nodes:
-        if v not in seen:
-            violations.append(f"no leaf identifies node {v}")
-    for v, k in seen.items():
-        if k > 1:
-            violations.append(f"node {v} identified by {k} leaves")
-        if v not in piece.nodes:
-            violations.append(f"leaf {v} is outside the instance piece")
+    if check:
+        for v in piece.nodes:
+            if v not in seen:
+                violations.append(f"no leaf identifies node {v}")
+        for v, k in seen.items():
+            if k > 1:
+                violations.append(f"node {v} identified by {k} leaves")
+            if v not in piece.nodes:
+                violations.append(f"leaf {v} is outside the instance piece")
+    return violations, total, height, count
+
+
+def validate(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = None) -> Diagnostics:
+    """Check that ``root`` is a valid decision tree for ``tree`` (or a piece of it); see ``measure``."""
+    violations = measure(root, tree, piece)[0]
     return Diagnostics(not violations, violations)
 
 
 def cost(root: DecisionNode, tree: InputTree, piece: Optional[NodePiece] = None, check: bool = True) -> int:
     """Weighted external path length: sum over leaves of depth * weight.
 
-    With ``check`` (the default) the tree is validated first and an
-    ``InvalidDecisionTreeError`` carries the diagnostics.
+    With ``check`` (the default) the tree is validated in the same walk and
+    an ``InvalidDecisionTreeError`` carries the violations.
     """
-    if check:
-        validate(root, tree, piece).raise_if_invalid()
-    w = tree.weight
-    return sum(d * w[n.node] for n, d in iter_nodes(root) if isinstance(n, Leaf))
+    violations, total, _, _ = measure(root, tree, piece, check)
+    if violations:
+        raise InvalidDecisionTreeError(violations)
+    return total
 
 
 def restrict(root: DecisionNode, tree: InputTree, piece: NodePiece) -> DecisionNode:

@@ -205,7 +205,13 @@ def build(inst: X3CInstance, variant: str) -> ReductionOutput:
     The weights' size is predicted before any work, from n = |U| and |T|:
     each w(u_j) is at least 6 |T|^3 times the one before, so the n element
     weights take about n^2/2 * log2(6 |T|^3) bits, and a prediction above
-    ``WEIGHT_BITS_LIMIT`` raises ``ResourceLimitError``."""
+    ``WEIGHT_BITS_LIMIT`` raises ``ResourceLimitError``.
+
+    ``inst`` must be as ``X3CInstance.of`` makes it (checked, canonical):
+    the bare constructor checks nothing, and the sweep's step cap is sized
+    for families with each element in at most three sets."""
+    if X3CInstance.of(inst.universe_size, inst.sets) != inst:
+        raise InvalidInstanceError("X3C instance is not in canonical order; make it with X3CInstance.of")
     n, m = inst.universe_size, inst.m
     bits = n * (n - 1) // 2 * ((6 * (1 + 9 * m) ** 3).bit_length() - 1)
     if bits > WEIGHT_BITS_LIMIT:
@@ -316,7 +322,10 @@ def _realizer(red: ReductionOutput, leaf, query, run=None):
     # Zero-weight leftovers, deepest first so each query isolates a singleton:
     # r_i of B-configured sets (tagged with i), plus hubs and spine for the
     # bounded variant.
-    depth = red.instance.depth
+    tree = red.instance
+    depth = [0] * tree.n
+    for v in reversed(tree.postorder[:-1]):  # preorder after the root: parents first
+        depth[v] = depth[tree.parent[v]] + 1
     structural = [(r, i) for i, r in enumerate(red.r_nodes)]
     structural += [(v, None) for v in red.h_nodes + red.z_nodes if v != red.root]
     structural.sort(key=lambda item: (-depth[item[0]], item[0]))

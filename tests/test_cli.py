@@ -566,8 +566,9 @@ class TestReduce:
         assert evaluated.splitlines()[:2] == ["valid", printed]
         assert format_instance(parse_instance(inst.read_text())) == inst.read_text()
     def test_verify_lemma2_refuses_long_sweep_up_front(self, tmp_path):
-        # 18 disjoint sets over 1500 elements: within SWEEP_LIMIT, but the
-        # 2^18 folds of 18 + 1500 steps each would run for about a minute.
+        # 18 disjoint sets over 1500 elements: 2^18 folds of 18 + 1500 steps
+        # each, about 4.0e8 steps against SWEEP_STEPS_LIMIT = 2^26, would run
+        # for about a minute.
         x3c = tmp_path / "m18.x3c"
         x3c.write_text("1500 18\n" + "".join(f"{3 * i} {3 * i + 1} {3 * i + 2}\n" for i in range(18)))
         t0 = time.perf_counter()
@@ -730,17 +731,18 @@ _RAN = """
 import sys, types
 from treesearch.cli import main
 code = main(sys.argv[1:])
-print("ran", *(m for m in ("bounded_dp", "bounds", "diameter", "exact", "fptas", "greedy", "reduction")
-               if type(sys.modules.get(f"treesearch.{m}")) is types.ModuleType))
+print("ran", *(m for m in ("bench", "bounded_dp", "bounds", "diameter", "exact", "fptas", "greedy", "jsontokens",
+                          "reduction") if type(sys.modules.get(f"treesearch.{m}")) is types.ModuleType))
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize("command, ran, not_ran", [
-    ("eval", set(), {"bounded_dp", "diameter", "exact", "fptas", "greedy", "reduction"}),
-    ("solve-exact", {"exact"}, {"bounded_dp", "fptas", "greedy", "reduction"}),
-    ("verify-lemma2", {"reduction"}, {"bounded_dp", "fptas", "greedy"}),
-    ("solve-auto-greedy", {"diameter", "greedy"}, {"bounded_dp", "bounds", "exact", "fptas", "reduction"}),
+    ("eval", set(), {"bench", "bounded_dp", "diameter", "exact", "fptas", "greedy", "jsontokens", "reduction"}),
+    ("solve-exact", {"exact"}, {"bench", "bounded_dp", "fptas", "greedy", "jsontokens", "reduction"}),
+    ("verify-lemma2", {"reduction"}, {"bench", "bounded_dp", "fptas", "greedy"}),
+    ("solve-auto-greedy", {"diameter", "greedy"},
+     {"bench", "bounded_dp", "bounds", "exact", "fptas", "reduction"}),
     ("reduce", {"reduction"}, {"bounded_dp", "bounds", "exact", "fptas", "greedy"}),
     ("verify-lemma2-m3", {"reduction"}, {"bounds", "exact", "fptas", "greedy"}),
 ], ids=["eval", "solve-exact", "verify-lemma2", "solve-auto-greedy", "reduce", "verify-lemma2-m3"])
@@ -841,12 +843,46 @@ def test_exact_needs_no_greedy_bound():
 
 
 def test_cli_keeps_no_solver_logic():
-    """The CLI calls the library's ``solve``, which alone holds the ``auto``
-    rule and the dispatch over the named solvers."""
+    """The CLI, and the ``bench`` subcommand's module, call the library's
+    ``solve``, which alone holds the ``auto`` rule and the dispatch over the
+    named solvers."""
     for name in ("opt_cost", "optimal_bounded", "solve_diam3", "tree_diameter", "greedy", "fptas",
                  "_run", "_limit"):
+        assert not [site for site in _call_sites(name) if site.split(".")[0] in ("cli", "bench")], name
+    assert "cli.cmd_solve" in _call_sites("solve") and "bench.bench" in _call_sites("solve")
+
+
+def test_solve_and_eval_walk_each_strategy_once():
+    """``cmd_solve`` and ``cmd_eval`` read the cost, the height and the node
+    count (and ``eval`` the violations) from one ``measure`` walk each, and
+    ``solve``'s greedy branch takes the cost that ``greedy_cost`` sums while
+    it builds: no separate walk for each figure."""
+    sites = _call_sites("measure")
+    assert sites.count("cli.cmd_solve") == 1 and sites.count("cli.cmd_eval") == 1, sites
+    for name in ("cost", "validate", "tree_height", "tree_size", "iter_nodes"):
         assert not [site for site in _call_sites(name) if site.split(".")[0] == "cli"], name
-    assert "cli.cmd_solve" in _call_sites("solve") and "cli.cmd_bench" in _call_sites("solve")
+    assert "__init__.solve" not in _call_sites("cost") and "__init__.solve" in _call_sites("greedy_cost")
+
+
+# The modules that ``import treesearch.cli`` runs, so every CLI child compiles
+# them whenever no bytecode is cached (PYTHONDONTWRITEBYTECODE=1, as the
+# benchmark's children may run).
+_EAGER_MODULES = ("__init__", "errors", "io", "model", "cli")
+_EAGER_AST_NODES = 8147
+
+
+def test_eager_compile_budget():
+    """Compiling these modules from source costs 1.1 to 2.2 ms per 1000 AST
+    nodes, as the host's load varies (``compile`` of their text, median of
+    60, Python 3.11 on a shared 2-vCPU VM): in one run 11.0 ms for the 8147
+    nodes they hold, against 11.9 ms for 8874 when ``bench``'s table and the
+    JSON token reader were in ``cli`` and ``io``.
+    Code that a ``solve`` or ``eval`` child does not run belongs in a module
+    that it does not import, so the sum of their ``ast.walk`` node counts
+    may not grow."""
+    total = sum(sum(1 for _ in ast.walk(ast.parse((SRC / "treesearch" / f"{name}.py").read_text())))
+                for name in _EAGER_MODULES)
+    assert total <= _EAGER_AST_NODES, total
 
 
 def test_subtree_mask_call_sites():
@@ -862,7 +898,7 @@ def test_height_cap_and_test_only_helpers_call_sites():
     sites = _call_sites("HEIGHT_CAP")
     assert sites and {site.split(".")[0] for site in sites} == {"bounded_dp"}, sites
     for name in ("enumerate_decision_trees", "optimal_first_queries", "est_compatible", "est_height",
-                 "left_delete", "right_delete", "DEFAULT_HEIGHT_CAP"):
+                 "left_delete", "right_delete", "DEFAULT_HEIGHT_CAP", "forest_nodes"):
         assert _call_sites(name) == [], name
 
 

@@ -33,7 +33,7 @@ from treesearch import (
 )
 from treesearch import bounded_dp
 from treesearch.bounds import huffman, tall_huffman
-from treesearch.bounded_dp import Assignment, SubforestId, _plp_to_bits, est_iter, forest_nodes
+from treesearch.bounded_dp import Assignment, SubforestId, _plp_to_bits, est_iter
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, path_tree, random_tree, seeded_weights, unit_weights
 from treesearch.model import Diagnostics
@@ -41,6 +41,13 @@ from treesearch.model import Diagnostics
 from conftest import enumerate_decision_trees
 
 U, B = UNASSIGNED, BLOCKED
+
+
+def forest_nodes(tree, fid: SubforestId) -> frozenset[int]:
+    """The node set of a subforest id: T_v for ("T", v), the first f child
+    subtrees of u for ("F", u, f)."""
+    tops = [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]
+    return frozenset(v for top in tops for v in tree.subtree_nodes(top))
 
 
 def est_height(root):

@@ -162,3 +162,17 @@ def test_matches_reference_on_seeded_large_trees():
         else:
             t = _relabelled(shapes[kind](n), [rng.randint(lo, hi) for _ in range(n)], rng)
         assert _same_as_reference(t), (kind, n, lo, hi)
+
+
+def test_cost_is_summed_while_building():
+    """``greedy_cost`` returns the cost of the strategy it builds, the one
+    ``greedy`` returns, without walking it: on every shape with n <= 8 and
+    seeded larger trees, zero weights included."""
+    from treesearch.greedy import greedy_cost
+
+    rng = random.Random(13)
+    trees = [InputTree(parents, seeded_weights(n, n, hi=3, lo=0)) for n in range(1, 9) for parents in all_tree_shapes(n)]
+    trees += [random_tree(rng.randint(100, 1200), rng.randrange(10**6), (0, 9)) for _ in range(5)]
+    for t in trees:
+        total, strategy = greedy_cost(t)
+        assert strategy == greedy(t) and total == cost(strategy, t)

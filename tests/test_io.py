@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from treesearch import (
+    InputTree,
     InvalidDecisionTreeError,
     InvalidInstanceError,
     Leaf,
@@ -215,3 +216,271 @@ def test_x3c_round_trip():
 def test_x3c_bad_arity():
     with pytest.raises(InvalidInstanceError, match="exactly 3"):
         parse_x3c("6 1\n0 1\n")
+
+
+def _reference_input_tree(parent, weight, children_order=None):
+    """The fields ``InputTree`` derives, by the constructor as it was before
+    its checks ran over whole columns: every check a Python loop over the
+    nodes, in this order. Raises InvalidInstanceError as it did."""
+    n = len(parent)
+    if n == 0:
+        raise InvalidInstanceError("instance must have at least one node")
+    if len(weight) != n:
+        raise InvalidInstanceError("parent and weight lengths differ")
+    parent = tuple(parent)
+    if set(map(type, parent)) != {int}:
+        raise InvalidInstanceError("parent ids must be integers")
+    roots = [v for v in range(n) if parent[v] == -1]
+    if len(roots) != 1:
+        raise InvalidInstanceError(f"expected exactly one root, found {len(roots)}")
+    root = roots[0]
+    for v, p in enumerate(parent):
+        if v != root and not (0 <= p < n):
+            raise InvalidInstanceError(f"node {v}: parent {p} out of range")
+    for w in weight:
+        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            raise InvalidInstanceError("weights must be nonnegative integers")
+    weight = tuple(int(w) for w in weight)
+    if children_order is None:
+        kids = [[] for _ in range(n)]
+        for v in range(n):
+            if v != root:
+                kids[parent[v]].append(v)
+    else:
+        kids = [list(c) for c in children_order]
+        if len(kids) != n:
+            raise InvalidInstanceError("children_order must cover every node")
+        seen = set()
+        for u in range(n):
+            for c in kids[u]:
+                if c.__class__ is not int or not 0 <= c < n:
+                    raise InvalidInstanceError(f"children_order lists {c!r}, not a node id")
+                if parent[c] != u:
+                    raise InvalidInstanceError(f"node {c} listed under {u} but parent is {parent[c]}")
+                if c in seen:
+                    raise InvalidInstanceError(f"node {c} listed twice in children_order")
+                seen.add(c)
+        if len(seen) != n - 1:
+            raise InvalidInstanceError("children_order must list every non-root node once")
+    children = tuple(tuple(c) for c in kids)
+    order, pre, stack = [], [0] * n, [root]
+    while stack:
+        u = stack.pop()
+        pre[u] = len(order)
+        order.append(u)
+        stack.extend(children[u])
+    if len(order) != n:
+        raise InvalidInstanceError("parent links do not form a single tree")
+    post = tuple(reversed(order))
+    size = [1] * n
+    for u in post:
+        for c in children[u]:
+            size[u] += size[c]
+    return {"n": n, "root": root, "parent": parent, "children": children, "weight": weight,
+            "pre": tuple(pre), "size": tuple(size), "postorder": post, "total_weight": sum(weight),
+            "max_children": max(len(c) for c in children)}
+
+
+def _reference_parse_instance(text):
+    """``parse_instance`` as it was: the rows filtered first, then a loop
+    over them, then ``_reference_input_tree``."""
+    rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip() and not ln.lstrip().startswith("#")]
+    if not rows:
+        raise InvalidInstanceError("empty instance file")
+    lineno, header = rows[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise InvalidInstanceError(f"line {lineno}: expected 'n root_id'")
+    try:
+        n, root = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InvalidInstanceError(f"line {lineno}: expected integers 'n root_id'") from None
+    if n <= 0:
+        raise InvalidInstanceError(f"line {lineno}: n must be positive")
+    if not 0 <= root < n:
+        raise InvalidInstanceError(f"line {lineno}: root id {root} out of range 0..{n - 1}")
+    if len(rows) - 1 != n:
+        raise InvalidInstanceError(f"expected {n} node lines, found {len(rows) - 1}")
+    parent, weight, children = [None] * n, [0] * n, [[] for _ in range(n)]
+    for lineno, ln in rows[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise InvalidInstanceError(f"line {lineno}: expected 'id parent_id weight'")
+        try:
+            v, p, w = int(parts[0]), int(parts[1]), parse_int(parts[2])
+        except ValueError:
+            raise InvalidInstanceError(f"line {lineno}: expected integers 'id parent_id weight'") from None
+        if not 0 <= v < n:
+            raise InvalidInstanceError(f"line {lineno}: node id {v} out of range 0..{n - 1}")
+        if parent[v] is not None:
+            raise InvalidInstanceError(f"line {lineno}: node {v} defined twice")
+        if w < 0:
+            raise InvalidInstanceError(f"line {lineno}: negative weight")
+        if p == -1:
+            if v != root:
+                raise InvalidInstanceError(f"line {lineno}: node {v} has parent -1 but root is {root}")
+        else:
+            if not 0 <= p < n:
+                raise InvalidInstanceError(f"line {lineno}: parent id {p} out of range")
+            children[p].append(v)
+        parent[v] = p
+        weight[v] = w
+    if parent[root] != -1:
+        raise InvalidInstanceError(f"root {root} must have parent -1")
+    return _reference_input_tree(parent, weight, children)
+
+
+def _tree_fields(tree):
+    return {name: getattr(tree, name) for name in InputTree.__slots__}
+
+
+def _outcome(f, *args):
+    """The fields of the tree ``f`` builds, or the message it refuses with."""
+    try:
+        out = f(*args)
+    except InvalidInstanceError as e:
+        return "refused", str(e)
+    return out if isinstance(out, dict) else _tree_fields(out)
+
+
+def _double_star(n):
+    """Two adjacent centers 0 and 1 with the other nodes shared out between them."""
+    return [-1, 0] + [v % 2 for v in range(2, n)]
+
+
+def _instance_texts(tree, rng):
+    """``tree`` as the writer writes it, and as a file in id order with
+    comments, blank lines and extra spaces, its children order kept."""
+    yield format_instance(tree)
+    order = {c: i for u in range(tree.n) for i, c in enumerate(tree.children[u])}
+    lines = [f"# n = {tree.n}", f"{tree.n}   {tree.root}", ""]
+    for v in sorted(range(tree.n), key=lambda v: order.get(v, -1)):
+        lines.append(f"  {v} {tree.parent[v]}\t{tree.weight[v]}" + rng.choice(["", " ", "\n  # a comment", "\n"]))
+    yield "\n".join(lines) + "\n"
+
+
+def test_instance_reader_matches_reference():
+    """On every shape with n <= 8, relabelled, with zero weights, children in
+    id order and reversed, and on seeded 1200-node random, path, star and
+    double-star trees, ``parse_instance`` builds the tree that the reader
+    and constructor as they were build, field for field."""
+    from treesearch.gen import all_tree_shapes, seeded_weights
+
+    rng = random.Random(29)
+    trees = []
+    for n in range(1, 9):
+        for parents in all_tree_shapes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            parent = [0] * n
+            for v, p in enumerate(parents):
+                parent[perm[v]] = -1 if p == -1 else perm[p]
+            t = InputTree(parent, seeded_weights(n, len(trees), hi=3, lo=0))
+            trees += [t, InputTree(t.parent, t.weight, [c[::-1] for c in t.children])]
+    assert len(trees) == 2 * 200
+    for shape in (lambda n: list(random_tree(n, 30).parent), lambda n: [-1] + list(range(n - 1)),
+                  lambda n: [-1] + [0] * (n - 1), _double_star):
+        parent = shape(1200)
+        perm = list(range(1200))
+        rng.shuffle(perm)
+        relabelled = [0] * 1200
+        for v, p in enumerate(parent):
+            relabelled[perm[v]] = -1 if p == -1 else perm[p]
+        trees.append(InputTree(relabelled, [rng.randint(0, 100) for _ in range(1200)]))
+    for t in trees:
+        for text in _instance_texts(t, rng):
+            assert _outcome(parse_instance, text) == _outcome(_reference_parse_instance, text) == _tree_fields(t)
+
+
+def test_instance_reader_refuses_as_reference():
+    """Texts one to three edits away from small instances (numbers changed,
+    lines dropped, repeated or swapped, tokens added or removed) are read or
+    refused exactly as the reader and constructor as they were read or
+    refuse them, message for message."""
+    rng = random.Random(30)
+    refused = 0
+    for case in range(3000):
+        t = random_tree(rng.randint(1, 7), rng.randrange(10**6), (0, 5))
+        lines = format_instance(t).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            edit = rng.randrange(6)
+            if edit == 0:  # one number changed
+                parts = lines[i].split()
+                parts[rng.randrange(len(parts))] = rng.choice(["-2", "-1", "0", "1", "2", str(t.n), "x", "1.5"])
+                lines[i] = " ".join(parts)
+            elif edit == 1:
+                del lines[i]
+            elif edit == 2:
+                lines.insert(i, lines[i])
+            elif edit == 3:  # two lines' parents swapped: perhaps a cycle
+                j = rng.randrange(len(lines))
+                a, b = lines[i].split(), lines[j].split()
+                if len(a) == len(b) == 3:
+                    a[1], b[1] = b[1], a[1]
+                    lines[i], lines[j] = " ".join(a), " ".join(b)
+            elif edit == 4:
+                lines[i] += rng.choice([" 7", " #", ""])
+            else:
+                lines[i] = " ".join(lines[i].split()[:-1])
+            if not lines:
+                break
+        text = "\n".join(lines) + "\n"
+        expected = _outcome(_reference_parse_instance, text)
+        assert _outcome(parse_instance, text) == expected, text
+        refused += isinstance(expected, tuple)
+    assert 1000 < refused < 2900, refused
+
+
+@pytest.mark.parametrize("parent, weight, order", [
+    ([], [], None), ([-1], [1, 2], None), ([-1, 0.0], [1, 1], None), ([-1, -1], [1, 1], None),
+    ([0, 1], [1, 1], None), ([-1, 2], [1, 1], None), ([-1, -2], [1, 1], None), ([-1, 0], [1, -1], None),
+    ([-1, 0], [1, True], None), ([-1, 0], [1, 1.0], None), ([-1, 0], [1, "1"], None), ([-1, 0], [1, 1], [[1]]),
+    ([-1, 0], [1, 1], [[True], []]), ([-1, 0], [1, 1], [[2], []]),
+    ([-1, 0], [1, 1], [[], [1]]), ([-1, 0, 0], [1, 1, 1], [[1, 1], [], []]), ([-1, 0, 0], [1, 1, 1], [[1], [], []]),
+    ([-1, 0, 0], [1, 1, 1], [[1], [2], []]), ([-1, 2, 1], [1, 1, 1], None), ([-1, 2, 1], [1, 1, 1], [[], [2], [1]]),
+    ([-1, 0, 1], [1, 0, 2], [[1], [2], []]), ([-1, 0, 0], [0, 0, 0], [(2, 1), (), ()]),
+])
+def test_constructor_refuses_as_reference(parent, weight, order):
+    """Each malformed column alone is refused with the message the
+    constructor gave before its checks ran over whole columns, and a
+    well-formed one is read the same. (Where one listing breaks two rules,
+    a node listed twice and once under another parent, either message may
+    come first.)"""
+    assert _outcome(InputTree, parent, weight, order) == _outcome(_reference_input_tree, parent, weight, order)
+
+
+@pytest.mark.parametrize("strategy", [Query(1, Leaf(0), "leaf"), Query(1, None, Leaf(0)), "leaf", None],
+                         ids=["text-side", "missing-side", "text", "none"])
+def test_writer_refuses_what_is_not_a_strategy(strategy):
+    # A text in a YES side was once copied into the output as it stood.
+    with pytest.raises(InvalidDecisionTreeError):
+        format_decision_tree(strategy)
+
+
+def test_strategy_writer_and_reader_match_reference():
+    """On every shape with n <= 8 (weights 0..3) and on seeded 1200-node
+    random, path, star and double-star trees, each with the strategy
+    ``solve`` picks and the greedy one: the writer writes what ``json.dumps``
+    of the records writes, and the reader reads back the strategy, as the
+    ``json`` reference does. ``json`` recurses, so the recursion limit is
+    raised for the tall strategies of the stars."""
+    from treesearch import solve
+    from treesearch.gen import all_tree_shapes, seeded_weights
+
+    trees = [InputTree(parents, seeded_weights(n, n + len(parents), hi=3, lo=0))
+             for n in range(1, 9) for parents in all_tree_shapes(n)]
+    rng = random.Random(34)
+    for parent in (random_tree(1200, 35).parent, [-1] + list(range(1199)), [-1] + [0] * 1199,
+                   _double_star(1200)):
+        trees.append(InputTree(parent, [rng.randint(0, 100) for _ in range(1200)]))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        for t in trees:
+            for strategy in {solve(t)[1], greedy(t)}:
+                text = format_decision_tree(strategy)
+                assert text == json.dumps(_records(strategy)) + "\n"
+                assert parse_decision_tree(text) == strategy == _reference_parse(text)
+    finally:
+        sys.setrecursionlimit(old)

@@ -22,13 +22,16 @@ from treesearch import (
     opt_cost,
     parse_decision_tree,
     restrict,
+    solve,
+    tree_height,
+    tree_size,
     uninformative_ancestor_counts,
     validate,
 )
 from treesearch.bounded_dp import BLOCKED, ESTNode, PBSolution
 from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, random_tree
-from treesearch.model import DecisionNode, Diagnostics, build_decision_tree, iter_nodes
+from treesearch.model import DecisionNode, Diagnostics, build_decision_tree, iter_nodes, measure
 from treesearch.reduction import ReductionOutput, X3CInstance, build
 
 from conftest import enumerate_decision_trees
@@ -278,6 +281,61 @@ class TestCost:
                 if isinstance(node, Leaf):
                     per_level[d] = per_level.get(d, 0) + t.weight[node.node]
             assert by_leaf == sum(d * w for d, w in per_level.items())
+
+
+def _reference_walks(root, tree):
+    """What a ``solve`` and an ``eval`` child read from separate walks before
+    ``measure``: the violations (``_reference_validate``) and, on a valid
+    strategy only, the cost, the height and the node count, each from its
+    own pass over ``iter_nodes``."""
+    violations = _reference_validate(root, tree).violations
+    total = None if violations else sum(d * tree.weight[n.node] for n, d in iter_nodes(root) if isinstance(n, Leaf))
+    return violations, total, max((d for _, d in iter_nodes(root)), default=0), sum(1 for _ in iter_nodes(root))
+
+
+def _assert_measure_matches(strategy, tree):
+    violations, total, height, count = measure(strategy, tree)
+    expected = _reference_walks(strategy, tree)
+    assert violations == expected[0], (tree.parent, strategy)
+    if not violations:
+        assert (total, height, count) == expected[1:]
+        assert total == cost(strategy, tree)
+        assert measure(strategy, tree, check=False) == ([], total, height, count)
+        assert (height, count) == (tree_height(strategy), tree_size(strategy))
+
+
+class TestMeasure:
+    def test_matches_separate_walks_on_every_small_shape(self):
+        # Every shape with n <= 8, children in id order and reversed, weights
+        # 0..3: the greedy and an optimal strategy and, on n <= 6, every
+        # strategy one edit away from the greedy one.
+        rng = random.Random(31)
+        checked = 0
+        for shape in _every_small_tree(8):
+            t = InputTree(shape.parent, [rng.randint(0, 3) for _ in range(shape.n)], shape.children)
+            cases = [greedy(t), opt_cost(t)[1]]
+            if t.n <= 6:
+                cases += _mutants(cases[0], t.n)
+            for case in cases:
+                _assert_measure_matches(case, t)
+                checked += 1
+        assert measure(None, t) == (["empty decision tree"], 0, 0, 0)
+        assert checked > 6000
+
+    def test_matches_separate_walks_on_large_trees(self):
+        # Seeded 1200-node random, path, star and double-star trees with
+        # zero weights among the others, the strategy ``solve`` picks, and
+        # that strategy with two leaves exchanged.
+        rng = random.Random(32)
+        for parent in (random_tree(1200, 33).parent, [-1] + list(range(1199)), [-1] + [0] * 1199,
+                       [-1, 0] + [v % 2 for v in range(2, 1200)]):
+            t = InputTree(parent, [rng.randint(0, 100) for _ in range(1200)])
+            strategy = solve(t)[1]
+            _assert_measure_matches(strategy, t)
+            a, b = rng.sample(range(1200), 2)
+            swapped = build_decision_tree(strategy, lambda node: (node.query, node.no, node.yes)
+                                          if isinstance(node, Query) else Leaf({a: b, b: a}.get(node.node, node.node)))
+            _assert_measure_matches(swapped, t)
 
 
 class TestValidate:

@@ -275,6 +275,18 @@ class TestDecision:
     def test_brute_empty_family(self):
         assert x3c_brute(X3CInstance.of(3, [])) is False
 
+    def test_build_refuses_unchecked_instances(self):
+        # The bare constructor checks nothing: an element in five sets once
+        # built a 46-node tree, and a family out of canonical order would
+        # number its sets against Pi's order.
+        with pytest.raises(InvalidInstanceError, match="appears in 5 > 3 sets"):
+            build(X3CInstance(3, ((0, 1, 2),) * 5), "diam4")
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            build(X3CInstance(3, ((0, 1, 5),)), "deg16")
+        with pytest.raises(InvalidInstanceError, match="canonical"):
+            build(X3CInstance(6, ((3, 4, 5), (0, 1, 2))), "diam4")
+        assert build(X3CInstance(6, ((0, 1, 2), (3, 4, 5))), "diam4").x3c == X3CInstance.of(6, [(3, 4, 5), (0, 1, 2)])
+
 
 def _reference_realization(red: ReductionOutput, spec) -> DecisionNode:
     """The realization built directly from ``Leaf`` and ``Query``, with a
@@ -294,7 +306,13 @@ def _reference_realization(red: ReductionOutput, spec) -> DecisionNode:
     # r_i of B-configured sets, plus hubs and spine for the bounded variant.
     leftovers = [red.r_nodes[i] for i in sorted(chosen)]
     leftovers += list(red.h_nodes) + [z for z in red.z_nodes if z != red.root]
-    leftovers.sort(key=lambda v: (-tree.depth[v], v))
+    def depth(v: int) -> int:  # edges up to the root, counted along the parent links
+        d = 0
+        while tree.parent[v] != -1:
+            v, d = tree.parent[v], d + 1
+        return d
+
+    leftovers.sort(key=lambda v: (-depth(v), v))
     node: DecisionNode = Leaf(red.root)
     for v in reversed(leftovers):
         node = isolate(v, node)
