@@ -102,7 +102,7 @@ def est_cost(root: ESTNode, tree: InputTree, forest: Optional[Collection[int]] =
     for node, d in est_iter(root):
         a = node.assignment
         is_leaf = node.left is None and node.right is None
-        if is_leaf and isinstance(a, int) and 0 <= a < tree.n and a in forest:
+        if is_leaf and a.__class__ is int and 0 <= a < tree.n and a in forest:
             total += d * tree.weight[a]
     return total
 
@@ -122,7 +122,7 @@ def validate_est(root: ESTNode, tree: InputTree, forest: Optional[Collection[int
         node, allowed = stack.pop()
         a = node.assignment
         is_leaf = node.left is None and node.right is None
-        if isinstance(a, int):
+        if a.__class__ is int:  # not isinstance: True would pass as node 1
             if not (0 <= a < n and forest >> pre[a] & 1):
                 violations.append(f"assignment {a} outside the forest")
                 continue

@@ -161,14 +161,16 @@ def format_decision_tree(root: DecisionNode) -> str:
     the time grow as O(n) at any height. Each node is one loop turn: a query
     writes its record up to its NO value, and a leaf writes its record, the
     braces of the queries whose YES side it ends, and the YES key that
-    follows them, the spelling ``_read_written`` reads."""
+    follows them, the spelling ``_read_written`` reads. A node that is not a
+    leaf or a query with an ``int`` id (``True`` and ``1.0`` are not) raises
+    ``InvalidDecisionTreeError``, as the reader would refuse its text."""
     out: list[str] = []
     todo: list = [(root, 0, "")]  # a node, the queries its text ends, and the YES key if one follows
     while todo:
         node, closes, yes = todo.pop()
-        if isinstance(node, Leaf):
+        if isinstance(node, Leaf) and node.node.__class__ is int:  # the reader takes integer ids alone
             out.append(f'{{"leaf": {node.node}}}' + "}" * closes + yes)
-        elif isinstance(node, Query):
+        elif isinstance(node, Query) and node.query.__class__ is int:
             if node.no is None or node.yes is None:
                 raise InvalidDecisionTreeError([f"query {node.query} is missing a child"])
             out.append(f'{{"query": {node.query}, "no": ')

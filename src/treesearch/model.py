@@ -113,21 +113,6 @@ class InputTree:
         self.total_weight = sum(weight)
         self.max_children = max(map(len, children))
 
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.n:  # a negative index would wrap around
-            raise IndexError(f"node {v} out of range 0..{self.n - 1}")
-
-    def in_subtree(self, x: int, v: int) -> bool:
-        """True iff x lies in the subtree rooted at v."""
-        self._check_node(x)
-        self._check_node(v)
-        return self.pre[v] <= self.pre[x] < self.pre[v] + self.size[v]
-
-    def subtree_nodes(self, v: int) -> frozenset[int]:
-        self._check_node(v)
-        end = self.n - self.pre[v]
-        return frozenset(self.postorder[end - self.size[v]:end])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InputTree)
@@ -272,18 +257,14 @@ class NodePiece(_FrozenRecord):
         if not ns:
             raise InvalidInstanceError("a NodePiece must be nonempty")
         for v in ns:
-            if not 0 <= v < tree.n:
-                raise InvalidInstanceError(f"node {v} out of range")
+            if v.__class__ is not int or not 0 <= v < tree.n:  # not isinstance: True would pass as node 1
+                raise InvalidInstanceError(f"node {v!r} out of range")
         tops = [v for v in ns if v == tree.root or tree.parent[v] not in ns]
         if len(tops) != 1:
             raise InvalidInstanceError(f"not a connected piece: {len(tops)} topmost nodes")
         # Every other node's parent lies in ns, so parents lead each node up
         # to the one top: the piece is connected.
         return NodePiece(ns, tops[0])
-
-    @staticmethod
-    def whole(tree: InputTree) -> "NodePiece":
-        return NodePiece(frozenset(range(tree.n)), tree.root)
 
 
 def iter_nodes(root: Optional[DecisionNode]) -> Iterator[tuple[DecisionNode, int]]:
@@ -360,18 +341,21 @@ def measure(root: Optional[DecisionNode], tree: InputTree, piece: Optional[NodeP
     Properties checked: every internal node has both children; leaf
     assignments are a bijection onto the piece; and the search property --
     below a YES branch only nodes of the queried subtree may appear, below a
-    NO branch none of them may. The piece's node set is read once, into a
-    mask of permitted preorder positions: T_q is ``size[q]`` bits from
-    ``pre[q]``, the whole tree n bits.
+    NO branch none of them may. The piece's node set (``range(n)`` when no
+    piece is given) is read once, into a mask of permitted preorder
+    positions: T_q is ``size[q]`` bits from ``pre[q]``, the whole tree n
+    bits. A leaf or query id that is not an ``int`` in 0..n-1 is a
+    violation; a piece holding one raises ``InvalidInstanceError``.
     """
     if root is None:
         return ["empty decision tree"] if check else [], 0, 0, 0
     pre, size, weight, n = tree.pre, tree.size, tree.weight, tree.n
     start = 0
+    nodes = range(n) if piece is None else piece.nodes
     if check:
-        if piece is None:
-            piece = NodePiece.whole(tree)
-        start = (1 << n) - 1 if len(piece.nodes) == n else sum(1 << pre[v] for v in piece.nodes)
+        if piece is not None and any(v.__class__ is not int or not 0 <= v < n for v in nodes):
+            raise InvalidInstanceError("the piece holds an id that is no node of the tree")
+        start = (1 << n) - 1 if len(nodes) == n else sum(1 << pre[v] for v in nodes)
     violations: list[str] = []
     seen: dict[int, int] = {}
     total = height = count = 0
@@ -385,7 +369,7 @@ def measure(root: Optional[DecisionNode], tree: InputTree, piece: Optional[NodeP
         if isinstance(node, Leaf):
             v = node.node
             if check:
-                if not 0 <= v < n:
+                if v.__class__ is not int or not 0 <= v < n:
                     violations.append(f"leaf id {v} out of range")
                     continue
                 seen[v] = seen.get(v, 0) + 1
@@ -396,7 +380,7 @@ def measure(root: Optional[DecisionNode], tree: InputTree, piece: Optional[NodeP
             sub = 0
             if check:
                 q = node.query
-                if not 0 <= q < n:
+                if q.__class__ is not int or not 0 <= q < n:
                     violations.append(f"query id {q} out of range")
                     continue
                 if not allowed >> pre[q] & 1:
@@ -411,13 +395,13 @@ def measure(root: Optional[DecisionNode], tree: InputTree, piece: Optional[NodeP
         elif check:
             violations.append(f"unexpected node type {type(node).__name__}")
     if check:
-        for v in piece.nodes:
+        for v in nodes:
             if v not in seen:
                 violations.append(f"no leaf identifies node {v}")
         for v, k in seen.items():
             if k > 1:
                 violations.append(f"node {v} identified by {k} leaves")
-            if v not in piece.nodes:
+            if v not in nodes:
                 violations.append(f"leaf {v} is outside the instance piece")
     return violations, total, height, count
 

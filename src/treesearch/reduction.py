@@ -82,10 +82,6 @@ class X3CInstance(_FrozenRecord):
     def m(self) -> int:
         return len(self.sets)
 
-    @property
-    def k(self) -> int:
-        return self.universe_size // 3
-
 
 PiItem = tuple[str, int]  # ("u", element) or ("X", set index)
 

@@ -7,6 +7,11 @@ from treesearch.exact import _splits, _subtree_masks
 from treesearch.gen import seeded_weights, star_tree
 
 
+def subtree_nodes(tree, v):
+    """The nodes of T_v: those whose preorder index lies in v's interval."""
+    return frozenset(x for x in range(tree.n) if tree.pre[v] <= tree.pre[x] < tree.pre[v] + tree.size[v])
+
+
 def enumerate_decision_trees(tree, piece=None):
     """Every valid decision tree for the instance, or for ``piece`` (an
     n-bit mask keyed by node id); only sane for n <= 6."""

@@ -14,7 +14,8 @@ import pytest
 
 import treesearch
 from treesearch import (
-    InputTree, NodePiece, bounded_dp, exact, format_instance, model, parse_decision_tree, parse_instance,
+    InputTree, NodePiece, X3CInstance, bounded_dp, exact, format_instance, model, parse_decision_tree,
+    parse_instance,
 )
 from treesearch.cli import main
 from treesearch.gen import path_tree, random_tree, seeded_weights, star_tree
@@ -868,15 +869,17 @@ def test_solve_and_eval_walk_each_strategy_once():
 # them whenever no bytecode is cached (PYTHONDONTWRITEBYTECODE=1, as the
 # benchmark's children may run).
 _EAGER_MODULES = ("__init__", "errors", "io", "model", "cli")
-_EAGER_AST_NODES = 8147
+_EAGER_AST_NODES = 8044
 
 
 def test_eager_compile_budget():
     """Compiling these modules from source costs 1.1 to 2.2 ms per 1000 AST
     nodes, as the host's load varies (``compile`` of their text, median of
-    60, Python 3.11 on a shared 2-vCPU VM): in one run 11.0 ms for the 8147
-    nodes they hold, against 11.9 ms for 8874 when ``bench``'s table and the
-    JSON token reader were in ``cli`` and ``io``.
+    60, Python 3.11 on a shared 2-vCPU VM): in one run 11.0 ms for 8147
+    nodes, against 11.9 ms for 8874 when ``bench``'s table and the JSON
+    token reader were in ``cli`` and ``io``. They hold 8044 since the model
+    dropped the members that only tests called (``InputTree.in_subtree``,
+    ``subtree_nodes``, ``NodePiece.whole``).
     Code that a ``solve`` or ``eval`` child does not run belongs in a module
     that it does not import, so the sum of their ``ast.walk`` node counts
     may not grow."""
@@ -894,12 +897,15 @@ def test_subtree_mask_call_sites():
 
 def test_height_cap_and_test_only_helpers_call_sites():
     """The DP's height cap is decided in bounded_dp alone, and the library
-    keeps none of the searches and helpers that only tests call."""
+    keeps none of the searches and helpers that only tests call. ``k`` is
+    looked up on ``X3CInstance`` itself, as loop variables share its name."""
     sites = _call_sites("HEIGHT_CAP")
     assert sites and {site.split(".")[0] for site in sites} == {"bounded_dp"}, sites
     for name in ("enumerate_decision_trees", "optimal_first_queries", "est_compatible", "est_height",
-                 "left_delete", "right_delete", "DEFAULT_HEIGHT_CAP", "forest_nodes"):
+                 "left_delete", "right_delete", "DEFAULT_HEIGHT_CAP", "forest_nodes",
+                 "in_subtree", "subtree_nodes", "_check_node", "whole"):
         assert _call_sites(name) == [], name
+    assert not hasattr(X3CInstance, "k")
 
 
 def test_id_mask_call_sites():

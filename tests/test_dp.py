@@ -38,7 +38,7 @@ from treesearch.exact import _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, path_tree, random_tree, seeded_weights, unit_weights
 from treesearch.model import Diagnostics
 
-from conftest import enumerate_decision_trees
+from conftest import enumerate_decision_trees, subtree_nodes
 
 U, B = UNASSIGNED, BLOCKED
 
@@ -47,7 +47,7 @@ def forest_nodes(tree, fid: SubforestId) -> frozenset[int]:
     """The node set of a subforest id: T_v for ("T", v), the first f child
     subtrees of u for ("F", u, f)."""
     tops = [fid[1]] if fid[0] == "T" else tree.children[fid[1]][:fid[2]]
-    return frozenset(v for top in tops for v in tree.subtree_nodes(top))
+    return frozenset(v for top in tops for v in subtree_nodes(tree, top))
 
 
 def est_height(root):
@@ -509,6 +509,16 @@ class TestValidateEst:
                 assert est_cost(ESTNode(0, ESTNode(a), ESTNode(1)), t, forest) == 1
                 assert est_cost(ESTNode(a), t, forest) == 0
 
+    def test_bool_assignment_is_no_node_id(self):
+        # True was once read as node 1: this EST validated and est_cost read 11.
+        t = InputTree([-1, 0], [3, 5])
+        est = ESTNode(True, left=ESTNode(0, right=ESTNode(0)), right=ESTNode(True))
+        diag = validate_est(est, t)
+        assert not diag.ok and "unexpected assignment True" in diag.violations, diag.violations
+        assert est_cost(est, t) == 2 * 3
+        est = ESTNode(1, left=ESTNode(0, right=ESTNode(0)), right=ESTNode(1))
+        assert validate_est(est, t).ok and est_cost(est, t) == 2 * 3 + 5
+
 
 class TestConversion:
     def test_round_trip_adds_root_weight(self):
@@ -521,6 +531,34 @@ class TestConversion:
             assert est_cost(est, t) == cost(strategy, t) + t.weight[t.root]
             back = est_to_search_tree(est, t)
             assert cost(back, t) == cost(strategy, t)
+
+    def test_placeholder_above_the_est_is_right_deleted(self):
+        # A placeholder above the whole EST pushes every leaf one level down,
+        # so it costs w(T) more, and the conversion deletes it again.
+        checked = 0
+        for n in range(1, 8):
+            for parents in all_tree_shapes(n):
+                t = InputTree(parents, seeded_weights(n, n + len(parents)))
+                s = opt_cost(t)[1]
+                est = search_tree_to_est(s, t)
+                padded = ESTNode(U, left=est)
+                assert validate_est(padded, t).ok, t.parent
+                assert est_cost(padded, t) == est_cost(est, t) + t.total_weight, t.parent
+                assert est_to_search_tree(padded, t) == s, t.parent
+                checked += 1
+        assert checked == 85
+
+    def test_childless_placeholder_under_a_no_side(self, path3, path3_tree):
+        # The root query's NO side holds no assigned node, so a childless
+        # placeholder may sit there; it adds no cost, and the left deletion
+        # of the root's query drops it.
+        est = search_tree_to_est(path3_tree, path3)
+        root_query = est.left  # query 1's NO side: the root's query above its leaf
+        assert root_query.assignment == path3.root and root_query.left is None
+        padded = ESTNode(1, left=ESTNode(0, left=ESTNode(U), right=root_query.right), right=est.right)
+        assert validate_est(padded, path3).ok
+        assert est_cost(padded, path3) == est_cost(est, path3)
+        assert est_to_search_tree(padded, path3) == path3_tree
 
     def test_round_trip_tall_star(self, star1500, default_recursion_limit):
         tree, strategy = star1500

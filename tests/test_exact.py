@@ -20,7 +20,7 @@ from treesearch import bounded_dp
 from treesearch.exact import _Oracle, _splits, _subtree_masks
 from treesearch.gen import all_tree_shapes, one_heavy_weights, random_tree, unit_weights
 
-from conftest import enumerate_decision_trees
+from conftest import enumerate_decision_trees, subtree_nodes
 
 
 def _id_mask(nodes):
@@ -278,7 +278,7 @@ def test_monotone_under_piece_inclusion():
         t = random_tree(rng.randint(2, 12), rng.randrange(10**6), (0, 9))
         oracle = _Oracle(t)
         top = rng.randrange(t.n)
-        big = set(t.subtree_nodes(top))
+        big = set(subtree_nodes(t, top))
         small = {top}
         for v in sorted(big - {top}):
             if rng.random() < 0.5 and t.parent[v] in small:

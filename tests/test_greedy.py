@@ -24,6 +24,8 @@ from treesearch.gen import (
 )
 from treesearch.model import build_decision_tree
 
+from conftest import subtree_nodes
+
 
 def _reference_greedy(tree):
     """The greedy rule as a whole-tree scan with piece bitmasks, one pass over
@@ -129,8 +131,8 @@ def test_reroot_inequality():
         t = random_tree(rng.randint(2, 11), rng.randrange(10**6), (1, 9))
         _, optimal = opt_cost(t)
         x = greedy(t).query
-        inside = NodePiece.of(t, t.subtree_nodes(x))
-        outside = NodePiece.of(t, set(range(t.n)) - t.subtree_nodes(x))
+        inside = NodePiece.of(t, subtree_nodes(t, x))
+        outside = NodePiece.of(t, set(range(t.n)) - subtree_nodes(t, x))
         rerooted = Query(x, no=restrict(optimal, t, outside), yes=restrict(optimal, t, inside))
         assert validate(rerooted, t).ok
         assert 2 * cost(rerooted, t) <= 2 * cost(optimal, t) + t.total_weight

@@ -450,10 +450,17 @@ def test_constructor_refuses_as_reference(parent, weight, order):
     assert _outcome(InputTree, parent, weight, order) == _outcome(_reference_input_tree, parent, weight, order)
 
 
-@pytest.mark.parametrize("strategy", [Query(1, Leaf(0), "leaf"), Query(1, None, Leaf(0)), "leaf", None],
-                         ids=["text-side", "missing-side", "text", "none"])
+@pytest.mark.parametrize("strategy", [
+    Query(1, Leaf(0), "leaf"), Query(1, None, Leaf(0)), "leaf", None,
+    Query(True, Leaf(0), Leaf(None)), Leaf(1.0), Leaf(False), Query(1.0, Leaf(0), Leaf(1)),
+    Query(1, Leaf(0), Query(2, Leaf(1), Leaf("2"))),
+], ids=["text-side", "missing-side", "text", "none",
+        "bool-query-none-leaf", "float-leaf", "bool-leaf", "float-query", "text-leaf"])
 def test_writer_refuses_what_is_not_a_strategy(strategy):
-    # A text in a YES side was once copied into the output as it stood.
+    # A text in a YES side was once copied into the output as it stood, and
+    # ids that are not ints were written as text the reader refuses
+    # (``{"leaf": 1.0}``, ``{"query": True, ...``) or reads as another id
+    # (``Leaf("2")`` as ``{"leaf": 2}``).
     with pytest.raises(InvalidDecisionTreeError):
         format_decision_tree(strategy)
 

@@ -34,7 +34,7 @@ from treesearch.gen import all_tree_shapes, random_tree
 from treesearch.model import DecisionNode, Diagnostics, build_decision_tree, iter_nodes, measure
 from treesearch.reduction import ReductionOutput, X3CInstance, build
 
-from conftest import enumerate_decision_trees
+from conftest import enumerate_decision_trees, subtree_nodes
 
 
 def _every_small_tree(max_n):
@@ -62,7 +62,7 @@ def _reference_validate(root, tree, piece=None):
     """``validate`` on n-bit subtree masks keyed by node id, as it was before
     the preorder-position masks; both must give the same ``Diagnostics``."""
     if piece is None:
-        piece = NodePiece.whole(tree)
+        piece = NodePiece.of(tree, range(tree.n))
     sub_masks = _subtree_masks(tree)
     violations = []
     seen = {}
@@ -210,11 +210,11 @@ class TestInstance:
     def test_subtree_masks(self, path3):
         assert _subtree_masks(path3)[0] == 0b111
         assert _subtree_masks(path3)[1] == 0b110
-        assert path3.in_subtree(2, 1) and not path3.in_subtree(0, 1)
+        assert 2 in subtree_nodes(path3, 1) and 0 not in subtree_nodes(path3, 1)
 
     def test_in_subtree_matches_masks_on_every_small_shape(self):
-        # in_subtree, subtree_nodes and the oracle's masks all read T_v as the
-        # parent links define it.
+        # The preorder intervals, the node sets read from them and the
+        # oracle's masks all read T_v as the parent links define it.
         checked = 0
         for t in _every_small_tree(7):
             n = t.n
@@ -222,21 +222,12 @@ class TestInstance:
             masks = _ancestor_masks(t)
             assert _subtree_masks(t) == masks, t.parent
             for v in range(n):
-                assert t.subtree_nodes(v) == {x for x in range(n) if masks[v] >> x & 1}, (t.parent, v)
+                assert subtree_nodes(t, v) == {x for x in range(n) if masks[v] >> x & 1}, (t.parent, v)
                 for x in range(n):
-                    assert t.in_subtree(x, v) == bool(masks[v] >> x & 1), (t.parent, x, v)
+                    inside = t.pre[v] <= t.pre[x] < t.pre[v] + t.size[v]
+                    assert inside == bool(masks[v] >> x & 1), (t.parent, x, v)
             checked += 1
         assert checked == 2 * 85
-
-    @pytest.mark.parametrize("bad", [-1, -3, 3])
-    def test_node_ids_outside_the_tree_raise(self, bad):
-        # On the path 0-1-2, -1 once indexed from the end (node 2).
-        t = InputTree([-1, 0, 1], [1, 1, 1])
-        for call in (lambda: t.in_subtree(bad, 0), lambda: t.in_subtree(0, bad),
-                     lambda: t.in_subtree(bad, bad), lambda: t.subtree_nodes(bad)):
-            with pytest.raises(IndexError, match=f"node {bad} out of range"):
-                call()
-        assert t.in_subtree(2, 0) and t.subtree_nodes(1) == {1, 2}
 
     def test_star_holds_linear_memory(self):
         # Subtrees are intervals, not n-bit masks: a star's masks alone held
@@ -359,6 +350,28 @@ class TestValidate:
         diag = validate(pruned, path3)
         assert not diag.ok
         assert any("missing a child" in v for v in diag.violations)
+
+    @pytest.mark.parametrize("strategy, violation", [
+        (Query(1, Leaf(0), Query(2, Leaf(1), Leaf(2.0))), "leaf id 2.0 out of range"),  # once a TypeError
+        (Leaf(None), "leaf id None out of range"),  # once a TypeError
+        (Query(True, Leaf(0), Query(2, Leaf(1), Leaf(2))), "query id True out of range"),  # once read as query 1
+        (Query(1, Leaf(False), Query(2, Leaf(1), Leaf(2))), "leaf id False out of range"),  # once read as leaf 0
+    ], ids=["float-leaf", "none-leaf", "bool-query", "bool-leaf"])
+    def test_ids_that_are_not_integers_are_violations(self, path3, strategy, violation):
+        diag = validate(strategy, path3)
+        assert not diag.ok and violation in diag.violations, diag.violations
+        with pytest.raises(InvalidDecisionTreeError, match=violation):
+            cost(strategy, path3)
+
+    @pytest.mark.parametrize("nodes", [{0, 99}, {-1, 0, 1, 2}, {0, 1.5}, {0, True}, {0, "1"}],
+                             ids=["past-n", "negative", "float", "bool", "text"])
+    def test_pieces_holding_foreign_ids_are_refused(self, path3, path3_tree, nodes):
+        # 99 was once an IndexError, -1 read through pre[-1] as node 2, 1.5 a TypeError.
+        piece = NodePiece(frozenset(nodes), 0)
+        for call in (validate, cost, measure):
+            with pytest.raises(InvalidInstanceError, match="no node of the tree"):
+                call(path3_tree, path3, piece)
+        assert measure(path3_tree, path3, piece, False) == measure(path3_tree, path3, None, False)
 
     def test_piece_weights_split_at_every_query(self):
         # At every query the YES-side plus NO-side leaf weights equal the
@@ -692,7 +705,7 @@ def test_query_is_frozen():
 
 class TestNodePiece:
     def test_whole(self, path3):
-        piece = NodePiece.whole(path3)
+        piece = NodePiece.of(path3, range(path3.n))
         assert piece.top == 0 and piece.nodes == {0, 1, 2}
 
     def test_disconnected_rejected(self, path3):
@@ -703,10 +716,18 @@ class TestNodePiece:
         with pytest.raises(InvalidInstanceError):
             NodePiece.of(path3, [])
 
+    @pytest.mark.parametrize("nodes", [[0, 1.5], [0, True], [0, 1.0], [0, None]],
+                             ids=["float", "bool", "integral-float", "none"])
+    def test_ids_that_are_not_integers_rejected(self, path3, nodes):
+        # 1.5 and None were once a TypeError; True was read as node 1, 1.0 as node 1.
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            NodePiece.of(path3, nodes)
+        assert NodePiece.of(path3, [0, 1]) == NodePiece(frozenset({0, 1}), 0)
+
 
 class TestRestrict:
     def test_identity_piece(self, path3, path3_tree):
-        assert restrict(path3_tree, path3, NodePiece.whole(path3)) == path3_tree
+        assert restrict(path3_tree, path3, NodePiece.of(path3, range(path3.n))) == path3_tree
 
     def test_subtree_piece_drops_depths_by_one(self, path3, path3_tree):
         piece = NodePiece.of(path3, [1, 2])
@@ -742,7 +763,7 @@ class TestRestrict:
 
     def test_tall_star_strategy(self, star1500, default_recursion_limit):
         tree, strategy = star1500
-        whole = restrict(strategy, tree, NodePiece.whole(tree))
+        whole = restrict(strategy, tree, NodePiece.of(tree, range(tree.n)))
         assert sys.getrecursionlimit() == default_recursion_limit
         assert format_decision_tree(whole) == format_decision_tree(strategy)
         piece = NodePiece.of(tree, range(0, tree.n, 2))  # the center and every other leaf
